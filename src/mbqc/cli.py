@@ -6,8 +6,8 @@ usage), 3 capacity exceeded, 4 verification failure.
 
 ``--json-out`` writes a deterministic report (same argv + same seed give
 byte-identical files; wall time appears only on stdout).  ``--cap``
-overrides the statevector qubit cap, defaulting to the ``MBQC_CAP``
-environment variable when set.
+(run-pattern, branches, partition) overrides the statevector qubit cap,
+defaulting to the ``MBQC_CAP`` environment variable when set.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ _EXIT_VERIFICATION = 4
 
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise ValidationError(message)
 
 
@@ -151,17 +150,8 @@ def _cmd_branches(args) -> dict:
     issues = validate_pattern(pattern)
     if issues:
         raise ValidationError("; ".join(issues))
-    # for this subcommand --cap means the branch cap (the statevector cap
-    # still comes from MBQC_CAP); --branch-cap is the explicit spelling
-    branch_cap = args.branch_cap
-    if branch_cap is None:
-        branch_cap = args.cap if args.cap is not None else 1 << 16
-    sv_cap = DEFAULT_CAP
-    env = os.environ.get("MBQC_CAP")
-    if env:
-        sv_cap = int(env)
     branches = enumerate_branches(pattern, backend=_backend_name(args.backend),
-                                  branch_cap=branch_cap, cap=sv_cap)
+                                  branch_cap=args.branch_cap, cap=_resolve_cap(args))
     psum = sum(b.probability for b in branches)
     return {"n_branches": len(branches),
             "probability_sum": psum,
@@ -253,12 +243,13 @@ def _build_parser() -> _CliParser:
     parser.add_argument("--version", action="version", version=f"mbqc {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, backend=True):
+    def common(p, cap=False, backend=False):
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument("--json-out", default=None, metavar="PATH",
                        help="write a deterministic JSON report here")
-        p.add_argument("--cap", type=int, default=None,
-                       help="statevector qubit cap (default: MBQC_CAP or 22)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="statevector qubit cap (default: MBQC_CAP or 22)")
         if backend:
             p.add_argument("--backend", choices=("sv", "stab"), default="sv")
 
@@ -271,25 +262,25 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("run-pattern", help="execute one branch of a pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--force-outcomes", default=None, metavar="SITE=BIT,...")
-    common(p)
+    common(p, cap=True, backend=True)
     p.set_defaults(func=_cmd_run_pattern)
 
     p = sub.add_parser("branches", help="enumerate every branch of a pattern")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--branch-cap", dest="branch_cap", type=int, default=None)
-    common(p)
+    p.add_argument("--branch-cap", type=int, default=1 << 16)
+    common(p, cap=True, backend=True)
     p.set_defaults(func=_cmd_branches)
 
     p = sub.add_parser("compile", help="compile a circuit to a pattern")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", default=None, help="write the pattern JSON here")
-    common(p, backend=False)
+    common(p)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("partition", help="spin-model partition function")
     p.add_argument("--model", required=True)
     p.add_argument("--method", choices=("overlap", "brute"), default="overlap")
-    common(p, backend=False)
+    common(p, cap=True)
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("slice", help="project a cluster slice into a surface code")
@@ -297,7 +288,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--holes", default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--force-outcomes", default=None, metavar="SITE=BIT,...")
-    common(p, backend=False)
+    common(p)
     p.set_defaults(func=_cmd_slice)
 
     p = sub.add_parser("percolation", help="site-defect spanning statistics")
@@ -306,7 +297,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--n-seeds", type=int, default=200)
     p.add_argument("--axis", choices=("row", "column"), default="column")
-    common(p, backend=False)
+    common(p)
     p.set_defaults(func=_cmd_percolation)
     return parser
 

@@ -8,9 +8,17 @@ XOR-parities of the outcomes at the command's ``s_deps`` / ``t_deps``.
 The engine never auto-corrects: a run returns the raw post-measurement
 state on the output sites together with the Pauli frame implied by the
 pattern's correction table, and ``check_determinism`` applies frames
-explicitly.  Branch enumeration shares measurement prefixes and compacts
-measured qubits as it descends, so exhausting 2^k branches costs about
-k full-state passes rather than 2^k.
+explicitly.
+
+One depth-first walker executes patterns on both backends.
+``run_pattern`` follows the single branch an ``OutcomeSource`` picks;
+``enumerate_branches`` follows every outcome of probability at least
+``PROB_TOL``, sharing measurement prefixes between branches.  A backend
+supplies only a step (the probability of outcome 0 plus a collapse onto a
+chosen outcome) and an output extraction.  The statevector step compacts
+each measured qubit, so the state halves with every measurement and
+exhausting 2^k branches costs about k full-state passes rather than 2^k;
+the stabilizer step copies the tableau only for a pending sibling branch.
 """
 from __future__ import annotations
 
@@ -257,74 +265,7 @@ def run_pattern(p: MeasurementPattern, input_state: Optional[StateVector] = None
     """Execute one branch of the pattern; see module docstring for semantics."""
     _require_valid(p)
     src = as_outcome_source(randomness, forced=forced)
-    if backend == "statevector":
-        return _run_statevector(p, input_state, src, cap)
-    if backend == "stabilizer":
-        if input_state is not None:
-            raise CapacityError("stabilizer backend does not take injected inputs")
-        if not _stabilizer_eligible(p):
-            raise CapacityError(
-                "stabilizer backend requires all angles to be multiples of pi/2")
-        return _run_stabilizer(p, src)
-    raise ValidationError(f"unknown backend {backend!r}")
-
-
-def _choose_outcome(src: OutcomeSource, site: int, p0: float) -> int:
-    if src.has_forced(site):
-        return src.forced[site] & 1
-    if p0 > 1.0 - PROB_TOL:
-        return 0
-    if p0 < PROB_TOL:
-        return 1
-    return src.draw(site)
-
-
-def _run_statevector(p: MeasurementPattern, input_state, src: OutcomeSource,
-                     cap: int) -> BranchRecord:
-    state = _prepare_statevector(p, input_state, cap)
-    outcomes: dict[int, int] = {}
-    prob = 1.0
-    for c in p.commands:
-        theta = c.effective_angle(outcomes) if c.plane == "XY" else 0.0
-        p0 = measure_probability(state, c.site, c.plane, theta, 0)
-        m = _choose_outcome(src, c.site, p0)
-        pm = p0 if m == 0 else 1.0 - p0
-        if pm < PROB_TOL:
-            raise ContradictionError(
-                f"outcome {m} at site {c.site} has probability {pm:.3e}")
-        _, state = measure_angle(state, c.site, c.plane, theta, forced=m)
-        outcomes[c.site] = m
-        prob *= pm
-    out = extract_qubits(state, p.output_sites) if p.output_sites else StateVector(0, np.ones(1))
-    return BranchRecord(outcomes, p.frame_for(outcomes), out, prob, p.output_sites)
-
-
-def _run_stabilizer(p: MeasurementPattern, src: OutcomeSource) -> BranchRecord:
-    t = graph_state_tableau(p.resource)
-    outcomes: dict[int, int] = {}
-    prob = 1.0
-    for c in p.commands:
-        if c.plane == "Z":
-            basis, flip = "Z", 0
-        else:
-            basis, flip = _angle_to_pauli(c.effective_angle(outcomes))
-        balanced = t.outcome_is_random(basis, c.site)
-        if balanced:
-            if src.has_forced(c.site):
-                m = src.forced[c.site] & 1
-            else:
-                m = src.draw(c.site)
-            t.measure_pauli(basis, c.site, forced=m ^ flip)
-            prob *= 0.5
-        else:
-            m_pauli = t.measure_pauli(basis, c.site)
-            m = m_pauli ^ flip
-            if src.has_forced(c.site) and (src.forced[c.site] & 1) != m:
-                raise ContradictionError(
-                    f"outcome at site {c.site} is deterministically {m}")
-        outcomes[c.site] = m
-    out = extract_subtableau(t, p.output_sites)
-    return BranchRecord(outcomes, p.frame_for(outcomes), out, prob, p.output_sites)
+    return _walk(p, input_state, backend, cap, src)[0]
 
 
 def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector] = None,
@@ -339,76 +280,108 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
     k = len(p.commands)
     if 2 ** k > branch_cap:
         raise CapacityError(f"2^{k} branches exceed cap {branch_cap}")
+    return _walk(p, input_state, backend, cap, None)
+
+
+def _choose_outcome(src: OutcomeSource, site: int, p0: float) -> int:
+    if src.has_forced(site):
+        return src.forced[site] & 1
+    if p0 > 1.0 - PROB_TOL:
+        return 0
+    if p0 < PROB_TOL:
+        return 1
+    return src.draw(site)
+
+
+def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
+          cap: int, src: Optional[OutcomeSource]) -> list[BranchRecord]:
+    """Depth-first walk over the commands, outcome 0 before outcome 1.
+
+    With a source, follow the one outcome ``_choose_outcome`` picks per
+    command; without one, follow every outcome of probability >= PROB_TOL.
+    The stack is explicit because patterns run to thousands of commands.
+    """
+    state, step, output = _backend(p, input_state, backend, cap)
+    records: list[BranchRecord] = []
+    stack = [(0, state, {}, 1.0)]
+    while stack:
+        idx, state, outcomes, prob = stack.pop()
+        if idx == len(p.commands):
+            records.append(BranchRecord(outcomes, p.frame_for(outcomes), output(state),
+                                        prob, p.output_sites))
+            continue
+        c = p.commands[idx]
+        theta = c.effective_angle(outcomes) if c.plane == "XY" else 0.0
+        p0, collapse = step(state, c, theta)
+        if src is None:
+            chosen = [(m, pm) for m, pm in ((0, p0), (1, 1.0 - p0)) if pm >= PROB_TOL]
+        else:
+            m = _choose_outcome(src, c.site, p0)
+            pm = p0 if m == 0 else 1.0 - p0
+            if pm < PROB_TOL:
+                raise ContradictionError(
+                    f"outcome {m} at site {c.site} has probability {pm:.3e}")
+            chosen = [(m, pm)]
+        # push outcome 1 first so 0 is walked first; only the last collapse
+        # may consume ``state`` and ``outcomes``
+        for m, pm in reversed(chosen):
+            last = m == chosen[0][0]
+            branch = outcomes if last else dict(outcomes)
+            branch[c.site] = m
+            stack.append((idx + 1, collapse(m, last), branch, prob * pm))
+    return records
+
+
+def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
+             cap: int):
+    """(initial state, step, output) for one backend.
+
+    ``step(state, command, theta)`` returns the probability of outcome 0
+    and ``collapse(m, last)``, the post-measurement state for outcome m;
+    ``last`` says ``state`` is not needed again and may be updated in place.
+    """
     if backend == "statevector":
-        state = _prepare_statevector(p, input_state, cap)
-        positions = {s: s for s in range(p.resource.n_vertices)}
-        records: list[BranchRecord] = []
-        _enum_sv(p, state, 0, {}, 1.0, positions, records)
-        return records
+        def sv_step(state, c, theta):
+            sv, live = state              # live: site held by each qubit
+            pos = live.index(c.site)
+            p0 = measure_probability(sv, pos, c.plane, theta, 0)
+
+            def collapse(m, last):
+                _, collapsed = measure_angle(sv, pos, c.plane, theta, forced=m)
+                return compact(collapsed, pos), live[:pos] + live[pos + 1:]
+            return p0, collapse
+
+        def sv_output(state):
+            sv, live = state
+            if not p.output_sites:
+                return StateVector(0, np.ones(1))
+            return extract_qubits(sv, [live.index(s) for s in p.output_sites])
+
+        root = (_prepare_statevector(p, input_state, cap),
+                list(range(p.resource.n_vertices)))
+        return root, sv_step, sv_output
     if backend == "stabilizer":
         if input_state is not None:
             raise CapacityError("stabilizer backend does not take injected inputs")
         if not _stabilizer_eligible(p):
             raise CapacityError(
                 "stabilizer backend requires all angles to be multiples of pi/2")
-        t = graph_state_tableau(p.resource)
-        records = []
-        _enum_stab(p, t, 0, {}, 1.0, records)
-        return records
+
+        def stab_step(t, c, theta):
+            basis, flip = ("Z", 0) if c.plane == "Z" else _angle_to_pauli(theta)
+            if not t.outcome_is_random(basis, c.site):
+                m = t.measure_pauli(basis, c.site) ^ flip
+                return (1.0 if m == 0 else 0.0), lambda m, last: t
+
+            def collapse(m, last):
+                t2 = t if last else t.copy()
+                t2.measure_pauli(basis, c.site, forced=m ^ flip)
+                return t2
+            return 0.5, collapse
+
+        return (graph_state_tableau(p.resource), stab_step,
+                lambda t: extract_subtableau(t, p.output_sites))
     raise ValidationError(f"unknown backend {backend!r}")
-
-
-def _enum_sv(p: MeasurementPattern, state: StateVector, idx: int,
-             outcomes: dict[int, int], prob: float,
-             positions: dict[int, int], records: list[BranchRecord]) -> None:
-    if idx == len(p.commands):
-        if p.output_sites:
-            out = extract_qubits(state, [positions[s] for s in p.output_sites])
-        else:
-            out = StateVector(0, np.ones(1))
-        records.append(BranchRecord(dict(outcomes), p.frame_for(outcomes), out,
-                                    prob, p.output_sites))
-        return
-    c = p.commands[idx]
-    pos = positions[c.site]
-    theta = c.effective_angle(outcomes) if c.plane == "XY" else 0.0
-    p0 = measure_probability(state, pos, c.plane, theta, 0)
-    for m, pm in ((0, p0), (1, 1.0 - p0)):
-        if pm < PROB_TOL:
-            continue
-        _, collapsed = measure_angle(state, pos, c.plane, theta, forced=m)
-        reduced = compact(collapsed, pos)
-        new_positions = {s: (q if q < pos else q - 1)
-                         for s, q in positions.items() if s != c.site}
-        outcomes[c.site] = m
-        _enum_sv(p, reduced, idx + 1, outcomes, prob * pm, new_positions, records)
-        del outcomes[c.site]
-
-
-def _enum_stab(p: MeasurementPattern, t: Tableau, idx: int,
-               outcomes: dict[int, int], prob: float,
-               records: list[BranchRecord]) -> None:
-    if idx == len(p.commands):
-        records.append(BranchRecord(dict(outcomes), p.frame_for(outcomes),
-                                    extract_subtableau(t, p.output_sites),
-                                    prob, p.output_sites))
-        return
-    c = p.commands[idx]
-    if c.plane == "Z":
-        basis, flip = "Z", 0
-    else:
-        basis, flip = _angle_to_pauli(c.effective_angle(outcomes))
-    balanced = t.outcome_is_random(basis, c.site)
-    for m in (0, 1):
-        t2 = t.copy()
-        try:
-            t2.measure_pauli(basis, c.site, forced=m ^ flip)
-        except ContradictionError:
-            continue
-        outcomes[c.site] = m
-        _enum_stab(p, t2, idx + 1, outcomes, prob * (0.5 if balanced else 1.0),
-                   records)
-        del outcomes[c.site]
 
 
 @dataclass

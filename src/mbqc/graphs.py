@@ -11,7 +11,7 @@ this with the last axis fastest.  All lattices use open boundaries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,11 +88,6 @@ class Graph:
                  if a not in gone and b not in gone]
         return Graph(len(keep), edges)
 
-    def delete_vertex_keep_labels(self, v: int) -> "Graph":
-        """Drop all edges at ``v`` but keep the vertex count (isolated site)."""
-        return Graph(self.n_vertices,
-                     [e for e in self.edges if v not in e])
-
     def to_json_dict(self) -> dict:
         return {"n": self.n_vertices, "edges": [list(e) for e in self.edges]}
 
@@ -159,11 +154,6 @@ class DefectMask:
     removed: frozenset[int]
     defect_rate: float
     seed: int
-
-    removed_sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "removed_sorted", tuple(sorted(self.removed)))
 
 
 def build_lattice(spec: LatticeSpec) -> Graph:

@@ -42,16 +42,19 @@ def unpack_bits(words: np.ndarray, n_qubits: int) -> np.ndarray:
 
 
 def phase_exponent_mod4(x1: np.ndarray, z1: np.ndarray,
-                        x2: np.ndarray, z2: np.ndarray) -> int:
+                        x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """i-exponent (mod 4) of the qubit-wise product P1*P2, word-parallel.
 
     Counts qubits contributing +i (cyclic pairs XY, YZ, ZX) minus qubits
-    contributing -i (the anticyclic pairs).
+    contributing -i (the anticyclic pairs).  The packed words lie along the
+    last axis, which is reduced: stacked rows (broadcasting as numpy does)
+    give one exponent per row, and single rows a 0-d integer array.
     """
     plus = (x1 & ~z1 & x2 & z2) | (x1 & z1 & ~x2 & z2) | (~x1 & z1 & x2 & ~z2)
     anti = (x1 & z2) ^ (z1 & x2)
     minus = anti & ~plus
-    cnt = int(np.bitwise_count(plus).sum()) - int(np.bitwise_count(minus).sum())
+    cnt = np.bitwise_count(plus).sum(axis=-1, dtype=np.int64)
+    cnt -= np.bitwise_count(minus).sum(axis=-1, dtype=np.int64)
     return cnt % 4
 
 
@@ -135,7 +138,7 @@ class PauliString:
         if self.n != other.n:
             raise ValidationError("qubit counts differ")
         phase = (2 * (self.sign_bit + other.sign_bit)
-                 + phase_exponent_mod4(self.x, self.z, other.x, other.z)) % 4
+                 + int(phase_exponent_mod4(self.x, self.z, other.x, other.z))) % 4
         if phase % 2:
             raise VerificationError("product has imaginary sign")
         return PauliString(self.n, self.x ^ other.x, self.z ^ other.z,

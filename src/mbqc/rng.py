@@ -2,8 +2,7 @@
 
 The package-wide generator is numpy's PCG64 behind ``numpy.random.Generator``,
 always constructed from an explicit 64-bit seed via ``SeedSequence`` so runs
-are bit-reproducible across platforms.  Child streams come from
-``SeedSequence.spawn`` (splittable), never from reseeding arithmetic.
+are bit-reproducible across platforms.
 
 Measurement operations accept an ``OutcomeSource``: either a seeded stream of
 fair bits or a table of forced outcomes per site/qubit, used by branch
@@ -21,12 +20,6 @@ from .errors import ContradictionError
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package's named generator (PCG64) for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Split one seed into ``n`` independent child generators."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
 class OutcomeSource:

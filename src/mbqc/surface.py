@@ -35,8 +35,9 @@ check transports with the outcome signs predicted by H-conjugation.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -289,7 +290,6 @@ def predicted_sign(layout: SliceLayout, kind: str, pos: tuple[int, int],
 class ProjectionResult:
     outcomes: dict[int, int]                  # cluster qubit -> measured bit
     code_tableau: Tableau                     # state restricted to code qubits
-    dressing: dict[int, str]                  # per code qubit (identity here)
     plan: MeasurementPlan
     layout: SliceLayout
 
@@ -322,8 +322,7 @@ def project_syndrome_layer(layout: SliceLayout,
     for e in plan.code_z:
         outcomes[e] = t.measure_pauli("Z", e, src)
     code_tab = extract_subtableau(t, list(range(layout.n_code)))
-    dressing = {e: "I" for e in range(layout.n_code)}
-    return ProjectionResult(outcomes, code_tab, dressing, plan, layout)
+    return ProjectionResult(outcomes, code_tab, plan, layout)
 
 
 def present_checks(layout: SliceLayout, plan: MeasurementPlan
@@ -361,53 +360,46 @@ def verify_projection(result: ProjectionResult) -> dict:
 
 # -- logical operators -------------------------------------------------------
 
-def _site_path(layout: SliceLayout, s0: tuple[int, int], s1: tuple[int, int]
-               ) -> list[tuple[int, int]]:
-    """Shortest site path, deterministic tie-break (BFS, sorted neighbors)."""
-    from collections import deque
-    start, goal = tuple(s0), tuple(s1)
+def _shortest_path(start: tuple[int, int], goal: tuple[int, int],
+                   sorted_neighbors: Callable[[tuple[int, int]], list[tuple[int, int]]],
+                   missing: str) -> list[tuple[int, int]]:
+    """Shortest path by BFS; visiting neighbours in sorted order fixes the
+    tie-break.  Raises ValidationError(``missing``) when ``goal`` is unreachable."""
     prev: dict[tuple[int, int], tuple[int, int]] = {start: start}
     dq = deque([start])
     while dq:
         cur = dq.popleft()
         if cur == goal:
             break
-        for nxt in sorted(layout.site_neighbors(*cur)):
+        for nxt in sorted_neighbors(cur):
             if nxt not in prev:
                 prev[nxt] = cur
                 dq.append(nxt)
     if goal not in prev:
-        raise ValidationError("no path between the hole sites")
+        raise ValidationError(missing)
     path = [goal]
     while path[-1] != start:
         path.append(prev[path[-1]])
     return path[::-1]
+
+
+def _site_path(layout: SliceLayout, s0: tuple[int, int], s1: tuple[int, int]
+               ) -> list[tuple[int, int]]:
+    """Shortest site path between two lattice sites."""
+    return _shortest_path(tuple(s0), tuple(s1),
+                          lambda s: sorted(layout.site_neighbors(*s)),
+                          "no path between the hole sites")
 
 
 def _dual_path(layout: SliceLayout, p0: tuple[int, int], p1: tuple[int, int]
                ) -> list[tuple[int, int]]:
     """Shortest face path (faces adjacent when they share an edge)."""
-    from collections import deque
-    start, goal = tuple(p0), tuple(p1)
-    prev: dict[tuple[int, int], tuple[int, int]] = {start: start}
-    dq = deque([start])
-    while dq:
-        cur = dq.popleft()
-        if cur == goal:
-            break
-        i, j = cur
-        for nxt in sorted((i + di, j + dj) for di, dj in
-                          ((-1, 0), (1, 0), (0, -1), (0, 1))):
-            if (0 <= nxt[0] < layout.code_rows and 0 <= nxt[1] < layout.code_cols
-                    and nxt not in prev):
-                prev[nxt] = cur
-                dq.append(nxt)
-    if goal not in prev:
-        raise ValidationError("no dual path between the hole faces")
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    def faces_around(f):
+        i, j = f
+        return sorted((a, b) for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                      if 0 <= a < layout.code_rows and 0 <= b < layout.code_cols)
+    return _shortest_path(tuple(p0), tuple(p1), faces_around,
+                          "no dual path between the hole faces")
 
 
 def _face_shared_edge(layout: SliceLayout, f0: tuple[int, int],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
-from .pauli import PauliString, n_words, symplectic_rank, unpack_bits
+from .pauli import PauliString, n_words, phase_exponent_mod4, symplectic_rank, unpack_bits
 from .rng import OutcomeSource, as_outcome_source
 
 _ONE = np.uint64(1)
@@ -105,19 +105,15 @@ class Tableau:
                   psign: int) -> None:
         """Left-multiply the Pauli (px, pz, psign) into each row in ``rows``.
 
-        Phase bookkeeping is word-parallel: count +i and -i qubit
-        contributions, fold with both sign bits, and require a real result.
+        Phase bookkeeping is word-parallel: the product phase of every row,
+        folded with both sign bits, must be real.
         """
         if rows.size == 0:
             return
         x2 = self.xs[rows]
         z2 = self.zs[rows]
-        plus = (px & ~pz & x2 & z2) | (px & pz & ~x2 & z2) | (~px & pz & x2 & ~z2)
-        anti = (px & z2) ^ (pz & x2)
-        minus = anti & ~plus
-        cnt = (np.bitwise_count(plus).sum(axis=1).astype(np.int64)
-               - np.bitwise_count(minus).sum(axis=1).astype(np.int64))
-        phase = (cnt + 2 * (int(psign) + self.signs[rows].astype(np.int64))) % 4
+        phase = (phase_exponent_mod4(px, pz, x2, z2)
+                 + 2 * (int(psign) + self.signs[rows].astype(np.int64))) % 4
         if np.any(phase % 2):
             raise VerificationError("row product produced an imaginary phase")
         self.signs[rows] = (phase // 2).astype(np.uint8)
@@ -272,12 +268,7 @@ class Tableau:
             k = xs.shape[0] & ~1
             x1, z1 = xs[0:k:2], zs[0:k:2]
             x2, z2 = xs[1:k:2], zs[1:k:2]
-            plus = (x1 & ~z1 & x2 & z2) | (x1 & z1 & ~x2 & z2) | (~x1 & z1 & x2 & ~z2)
-            anti = (x1 & z2) ^ (z1 & x2)
-            minus = anti & ~plus
-            cnt = (np.bitwise_count(plus).sum(axis=1).astype(np.int64)
-                   - np.bitwise_count(minus).sum(axis=1).astype(np.int64))
-            newph = (ph[0:k:2] + ph[1:k:2] + cnt) % 4
+            newph = (ph[0:k:2] + ph[1:k:2] + phase_exponent_mod4(x1, z1, x2, z2)) % 4
             newx = x1 ^ x2
             newz = z1 ^ z2
             if xs.shape[0] & 1:
@@ -360,11 +351,6 @@ def graph_state_tableau(graph: Graph) -> Tableau:
     return t
 
 
-def apply_clifford(t: Tableau, gate: str, targets: Sequence[int]) -> Tableau:
-    """Functional wrapper: returns an updated copy, input untouched."""
-    return t.copy().apply_clifford(gate, targets)
-
-
 def measure_pauli(t: Tableau, basis: str, qubit: int,
                   randomness: Union[int, OutcomeSource, None] = None,
                   forced: Optional[int] = None) -> tuple[int, Tableau]:
@@ -372,11 +358,6 @@ def measure_pauli(t: Tableau, basis: str, qubit: int,
     out = t.copy()
     m = out.measure_pauli(basis, qubit, randomness, forced)
     return m, out
-
-
-def stabilizer_group_contains(t: Tableau, p: PauliString) -> Optional[int]:
-    """Functional wrapper around ``Tableau.stabilizer_group_contains``."""
-    return t.stabilizer_group_contains(p)
 
 
 def tableau_to_statevector(t: Tableau, cap: int = 14):

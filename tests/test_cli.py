@@ -186,6 +186,29 @@ def test_env_cap(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
+
+def test_branches_takes_the_statevector_cap(files, capsys, monkeypatch):
+    pat = files["tmp"] / "pattern.json"
+    assert main(["compile", "--circuit", str(files["circuit"]), "--out", str(pat)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("MBQC_CAP", "abc")
+    assert main(["branches", "--pattern", str(pat)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    monkeypatch.delenv("MBQC_CAP")
+    assert main(["branches", "--pattern", str(pat), "--cap", "3"]) == 3
+    capsys.readouterr()
+
+
+def test_flags_a_subcommand_does_not_take_are_usage_errors(files, capsys):
+    for argv in (["compile", "--circuit", str(files["circuit"]), "--cap", "3"],
+                 ["graph-state", "--lattice", str(files["lattice"]), "--backend", "sv"],
+                 ["graph-state", "--lattice", str(files["lattice"]), "--cap", "3"],
+                 ["slice", "--layout", str(files["layout"]), "--cap", "3"],
+                 ["percolation", "--rate", "0.3", "--cap", "3"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--" in err, argv
+
 def test_reports_validate_against_schema(files, capsys):
     validator = _validator("run_report.schema.json")
     out = files["tmp"] / "rep.json"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import random_graph, random_state
 from mbqc.engine import (BranchRecord, MeasurementCommand, MeasurementPattern,
                          PauliFrame, apply_frame, check_determinism,
                          enumerate_branches, run_pattern, validate_pattern)
@@ -232,3 +232,64 @@ def test_apply_frame_on_both_backends():
     t = Tableau.plus_state(1)
     t2 = apply_frame(t, frame, [7])
     assert fidelity_up_to_phase(sv2, tableau_to_statevector(t2)) > 1 - 1e-12
+
+
+def random_clifford_pattern(n, n_out, rng):
+    """Random graph measured in order, angles multiples of pi/2, some Z."""
+    g = random_graph(n, rng, p=0.4)
+    commands, seen = [], []
+    for site in range(n - n_out):
+        if rng.random() < 0.2:
+            commands.append(MeasurementCommand(site, "Z"))
+        else:
+            deps = [s for s in seen if rng.random() < 0.3]
+            commands.append(MeasurementCommand(
+                site, "XY", int(rng.integers(4)) * math.pi / 2,
+                s_deps=frozenset(deps[:1]), t_deps=frozenset(deps[1:2])))
+        seen.append(site)
+    outputs = list(range(n - n_out, n))
+    corrections = {s: {"x_on": [outputs[s % n_out]], "z_on": [outputs[0]]}
+                   for s in seen[::2]}
+    return MeasurementPattern(g, [], outputs, commands, corrections)
+
+
+@pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
+def test_every_branch_replays_under_forced_run(backend, rng):
+    patterns = [random_clifford_pattern(8, 2, rng) for _ in range(3)]
+    if backend == "statevector":
+        angles = rng.uniform(-np.pi, np.pi, size=3)
+        patterns.append(MeasurementPattern(
+            Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)]), [], [3, 4],
+            [MeasurementCommand(0, "XY", float(angles[0])),
+             MeasurementCommand(1, "XY", float(angles[1]), s_deps=frozenset([0])),
+             MeasurementCommand(2, "XY", float(angles[2]), t_deps=frozenset([0]))],
+            corrections={1: {"x_on": [3], "z_on": [4]}}))
+    pruned = False
+    for p in patterns:
+        branches = enumerate_branches(p, backend=backend)
+        pruned |= len(branches) < 2 ** len(p.commands)
+        for b in branches:
+            rec = run_pattern(p, backend=backend, forced=b.outcomes)
+            assert rec.outcomes == b.outcomes
+            assert abs(rec.probability - b.probability) < 1e-12
+            assert rec.frame == b.frame
+            if backend == "stabilizer":
+                assert rec.output_state.dump() == b.output_state.dump()
+            else:
+                assert np.allclose(rec.output_state.amps, b.output_state.amps,
+                                   rtol=0, atol=1e-12)
+    assert pruned      # deterministic outcomes were met and pruned
+
+
+def test_long_clifford_chain_on_stabilizer_backend():
+    # more commands than Python's default recursion limit
+    n = 1101
+    commands = [MeasurementCommand(i, "XY", (i % 4) * math.pi / 2,
+                                   s_deps=frozenset([i - 1]) if i >= 1 else frozenset(),
+                                   t_deps=frozenset([i - 2]) if i >= 2 else frozenset())
+                for i in range(n - 1)]
+    p = MeasurementPattern(Graph(n, [(i, i + 1) for i in range(n - 1)]), [], [n - 1],
+                           commands, corrections={n - 2: {"x_on": [n - 1], "z_on": []}})
+    rec = run_pattern(p, backend="stabilizer", randomness=5)
+    assert len(rec.outcomes) == n - 1
+    assert rec.output_state.n == 1
