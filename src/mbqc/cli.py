@@ -141,6 +141,7 @@ def _cmd_run_pattern(args) -> dict:
     return {"outcomes": {str(k): v for k, v in sorted(rec.outcomes.items())},
             "frame": rec.frame.to_json_dict(),
             "probability": rec.probability,
+            "log2_probability": rec.log2_probability,
             "output_sites": list(rec.output_sites),
             "output_state": state_repr}
 
@@ -157,6 +158,7 @@ def _cmd_branches(args) -> dict:
             "probability_sum": psum,
             "branches": [{"outcomes": {str(k): v for k, v in sorted(b.outcomes.items())},
                           "probability": b.probability,
+                          "log2_probability": b.log2_probability,
                           "frame": b.frame.to_json_dict()}
                          for b in branches]}
 

@@ -90,6 +90,7 @@ class BranchRecord:
     output_state: Union[StateVector, Tableau]
     probability: float
     output_sites: tuple[int, ...]
+    log2_probability: float      # does not underflow where ``probability`` does
 
 
 class MeasurementPattern:
@@ -303,12 +304,12 @@ def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: st
     """
     state, step, output = _backend(p, input_state, backend, cap)
     records: list[BranchRecord] = []
-    stack = [(0, state, {}, 1.0)]
+    stack = [(0, state, {}, 1.0, 0.0)]
     while stack:
-        idx, state, outcomes, prob = stack.pop()
+        idx, state, outcomes, prob, log2_prob = stack.pop()
         if idx == len(p.commands):
             records.append(BranchRecord(outcomes, p.frame_for(outcomes), output(state),
-                                        prob, p.output_sites))
+                                        prob, p.output_sites, log2_prob))
             continue
         c = p.commands[idx]
         theta = c.effective_angle(outcomes) if c.plane == "XY" else 0.0
@@ -328,7 +329,8 @@ def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: st
             last = m == chosen[0][0]
             branch = outcomes if last else dict(outcomes)
             branch[c.site] = m
-            stack.append((idx + 1, collapse(m, last), branch, prob * pm))
+            stack.append((idx + 1, collapse(m, last), branch, prob * pm,
+                          log2_prob + math.log2(pm)))
     return records
 
 

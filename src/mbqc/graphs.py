@@ -98,7 +98,7 @@ class Graph:
     def from_json_dict(cls, d: dict) -> "Graph":
         try:
             return cls(int(d["n"]), d.get("edges", []))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad graph JSON: {exc}") from exc
 
     @classmethod
@@ -143,7 +143,7 @@ class LatticeSpec:
     def from_json_dict(cls, d: dict) -> "LatticeSpec":
         try:
             return cls(d["kind"], d["dims"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad lattice JSON: {exc}") from exc
 
 
@@ -195,6 +195,13 @@ def build_lattice(spec: LatticeSpec) -> Graph:
     return Graph(a * b * c, edges)
 
 
+def _defect_hits(n: int, defect_rate: float, seed: int) -> np.ndarray:
+    """The seeded site-defect draw: ``True`` at each removed site."""
+    if not (0.0 <= defect_rate <= 1.0):
+        raise ValidationError(f"defect_rate {defect_rate} outside [0, 1]")
+    return make_rng(seed).random(n) < defect_rate
+
+
 def apply_site_defects(spec: LatticeSpec, defect_rate: float, seed: int
                        ) -> tuple[Graph, DefectMask]:
     """Remove each lattice site independently with probability ``defect_rate``.
@@ -203,42 +210,47 @@ def apply_site_defects(spec: LatticeSpec, defect_rate: float, seed: int
     induced subgraph on survivors with dense reindexing (use the mask to map
     back to lattice coordinates).
     """
-    if not (0.0 <= defect_rate <= 1.0):
-        raise ValidationError(f"defect_rate {defect_rate} outside [0, 1]")
-    full = build_lattice(spec)
-    rng = make_rng(seed)
-    hits = rng.random(full.n_vertices) < defect_rate
+    hits = _defect_hits(spec.n_vertices, defect_rate, seed)
     removed = frozenset(int(v) for v in np.flatnonzero(hits))
-    return full.without_vertices(removed), DefectMask(removed, float(defect_rate), int(seed))
+    return (build_lattice(spec).without_vertices(removed),
+            DefectMask(removed, float(defect_rate), int(seed)))
 
 
-def _grid2d_boundary_sets(spec: LatticeSpec, axis: str) -> tuple[list[int], list[int]]:
-    r, c = spec.dims
-    if axis == "column":
-        # spanning top row <-> bottom row
-        return [j for j in range(c)], [(r - 1) * c + j for j in range(c)]
+def _spans(occupied: np.ndarray, spec: LatticeSpec, axis: str) -> bool:
+    """Whether the occupied sites of a grid2d connect two opposite boundaries.
+
+    ``occupied`` is one flag per site in row-major order.  Union-find with
+    path halving over the occupied nearest-neighbor bonds, plus one virtual
+    node per boundary joined to that boundary's occupied sites.
+    """
+    if spec.kind != "grid2d":
+        raise ValidationError("spanning test is defined for grid2d lattices")
+    occ = occupied.reshape(spec.dims)
     if axis == "row":
-        return [i * c for i in range(r)], [i * c + (c - 1) for i in range(r)]
-    raise ValidationError(f"axis must be 'row' or 'column', got {axis!r}")
+        occ = occ.T
+    elif axis != "column":
+        raise ValidationError(f"axis must be 'row' or 'column', got {axis!r}")
+    r, c = occ.shape
+    lo, hi = r * c, r * c + 1
+    idx = np.arange(r * c).reshape(r, c)
+    right = idx[:, :-1][occ[:, :-1] & occ[:, 1:]]
+    down = idx[:-1][occ[:-1] & occ[1:]]
+    first, last = idx[0][occ[0]], idx[-1][occ[-1]]
+    a = np.concatenate([np.full(first.size, lo), np.full(last.size, hi), right, down])
+    b = np.concatenate([first, last, right + 1, down + c])
+    parent = list(range(r * c + 2))
 
-
-class _UnionFind:
-    """Union-find with path halving; used with two virtual boundary nodes."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    for u, v in zip(a.tolist(), b.tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+    return find(lo) == find(hi)
 
 
 def has_spanning_cluster(graph: Graph, spec: LatticeSpec, mask: DefectMask | None = None,
@@ -247,48 +259,23 @@ def has_spanning_cluster(graph: Graph, spec: LatticeSpec, mask: DefectMask | Non
 
     ``graph`` must be the induced subgraph of ``build_lattice(spec)`` under
     ``mask`` (mask None means no removals).  Axis ``column`` asks for a
-    top-to-bottom crossing, ``row`` for left-to-right.  Decision is by
-    union-find with a virtual node per boundary.
+    top-to-bottom crossing, ``row`` for left-to-right.
     """
-    if spec.kind != "grid2d":
-        raise ValidationError("spanning test is defined for grid2d lattices")
     removed = mask.removed if mask is not None else frozenset()
-    n_full = spec.n_vertices
-    if mask is not None and mask.removed and max(mask.removed) >= n_full:
-        raise ValidationError("mask does not match lattice")
-    survivors = [v for v in range(n_full) if v not in removed]
-    if graph.n_vertices != len(survivors):
-        raise ValidationError("graph does not match lattice/mask")
-    index = {v: i for i, v in enumerate(survivors)}
-
-    full = build_lattice(spec)
-    expected = set()
-    for a, b in full.edges:
-        if a not in removed and b not in removed:
-            expected.add((index[a], index[b]))
-    if expected != set(graph.edges):
+    if graph != build_lattice(spec).without_vertices(removed):
         raise ValidationError("graph is not the induced subgraph of the lattice")
-
-    lo, hi = _grid2d_boundary_sets(spec, axis)
-    uf = _UnionFind(graph.n_vertices + 2)
-    top, bottom = graph.n_vertices, graph.n_vertices + 1
-    for v in lo:
-        if v not in removed:
-            uf.union(top, index[v])
-    for v in hi:
-        if v not in removed:
-            uf.union(bottom, index[v])
-    for a, b in graph.edges:
-        uf.union(a, b)
-    return uf.find(top) == uf.find(bottom)
+    return _spans(~np.isin(np.arange(spec.n_vertices), list(removed)), spec, axis)
 
 
 def spanning_probability(spec: LatticeSpec, defect_rate: float, seeds: Sequence[int],
                          axis: str = "column") -> float:
-    """Fraction of seeds whose defect draw still spans the lattice."""
-    hits = 0
-    for s in seeds:
-        g, m = apply_site_defects(spec, defect_rate, s)
-        if has_spanning_cluster(g, spec, m, axis=axis):
-            hits += 1
+    """Fraction of seeds whose defect draw still spans the lattice.
+
+    Each seed makes the draw ``apply_site_defects`` makes, and the decision
+    runs on the occupancy grid itself; no ``Graph`` is built per seed.
+    """
+    if len(seeds) < 1:
+        raise ValidationError(f"need at least one seed, got {len(seeds)}")
+    hits = sum(_spans(~_defect_hits(spec.n_vertices, defect_rate, s), spec, axis)
+               for s in seeds)
     return hits / len(seeds)

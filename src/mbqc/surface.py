@@ -202,8 +202,14 @@ class HoleSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HoleSpec":
-        return cls(tuple(tuple(p) for p in d.get("electric", ())),
-                   tuple(tuple(p) for p in d.get("magnetic", ())))
+        fields = [d.get(k, []) if isinstance(d, dict) else None
+                  for k in ("electric", "magnetic")]
+        if not all(isinstance(f, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+                for p in f) for f in fields):
+            raise ValidationError("bad holes JSON: electric and magnetic must be "
+                                  "lists of [i, j] integer pairs")
+        return cls(*fields)
 
 
 @dataclass

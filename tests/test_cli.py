@@ -5,6 +5,8 @@ import os
 import pytest
 
 from mbqc.cli import main
+from mbqc.engine import MeasurementCommand, MeasurementPattern
+from mbqc.graphs import Graph
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -138,6 +140,83 @@ def test_percolation(files, capsys):
                          "--cols", "15", "--n-seeds", "40"], capsys)
     assert code == 0
     assert rep["result"]["spanning_probability"] > 0.8
+
+
+@pytest.mark.parametrize("n_seeds", ["0", "-3"])
+def test_percolation_needs_at_least_one_seed(n_seeds, capsys):
+    assert main(["percolation", "--rate", "0.3", "--rows", "5", "--cols", "5",
+                 "--n-seeds", n_seeds]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def _assert_input_rejected(argv, capsys):
+    assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("graph", [{"n": "a"}, {"n": 3, "edges": [[0, "x"]]},
+                                   {"n": 3, "edges": [[0]]}, [1, 2]])
+def test_malformed_graph_json_is_a_validation_error(graph, files, capsys):
+    path = files["tmp"] / "graph.json"
+    path.write_text(json.dumps(graph))
+    _assert_input_rejected(["graph-state", "--graph", str(path)], capsys)
+
+
+@pytest.mark.parametrize("lattice", [{"kind": "grid2d", "dims": ["a", 2]},
+                                     {"kind": "chain", "dims": "ab"},
+                                     {"kind": "chain", "dims": 4}])
+def test_malformed_lattice_json_is_a_validation_error(lattice, files, capsys):
+    path = files["tmp"] / "lattice.json"
+    path.write_text(json.dumps(lattice))
+    _assert_input_rejected(["graph-state", "--lattice", str(path)], capsys)
+
+
+@pytest.mark.parametrize("holes", [{"electric": [[1, 1, 0], [1, 2, 0]]},
+                                   {"magnetic": [[0, 0], [1]]},
+                                   {"electric": 5}, {"magnetic": [3, 4]},
+                                   {"electric": [["a", 1], [1, 2]]}, [[1, 1]]])
+def test_malformed_holes_json_is_a_validation_error(holes, files, capsys):
+    path = files["tmp"] / "bad_holes.json"
+    path.write_text(json.dumps(holes))
+    _assert_input_rejected(["slice", "--layout", str(files["layout"]),
+                            "--holes", str(path)], capsys)
+
+
+def test_long_clifford_run_reports_log2_probability(files, capsys):
+    # every measurement of a flow pattern on a chain is a fair coin, so the
+    # product of the k outcome probabilities underflows but its log2 is -k
+    n = 1202
+    commands = [MeasurementCommand(i, "XY", (i % 4) * math.pi / 2,
+                                   s_deps=frozenset([i - 1]) if i >= 1 else frozenset(),
+                                   t_deps=frozenset([i - 2]) if i >= 2 else frozenset())
+                for i in range(n - 1)]
+    pattern = MeasurementPattern(Graph(n, [(i, i + 1) for i in range(n - 1)]), [], [n - 1],
+                                 commands, corrections={n - 2: {"x_on": [n - 1], "z_on": []}})
+    path = files["tmp"] / "chain.json"
+    path.write_text(pattern.to_json())
+    out = files["tmp"] / "chain_report.json"
+    code, _ = run_cli(["run-pattern", "--pattern", str(path), "--backend", "stab",
+                       "--seed", "3", "--json-out", str(out)], capsys)
+    assert code == 0
+    report = json.loads(out.read_text())
+    _validator("run_report.schema.json").validate(report)
+    k = len(report["result"]["outcomes"])
+    assert k == n - 1 > 1100
+    assert report["result"]["log2_probability"] == -k
+    assert report["result"]["probability"] == 0.0
+
+
+@pytest.mark.parametrize("backend", ["sv", "stab"])
+def test_branches_report_log2_probability(backend, files, capsys):
+    pat = files["tmp"] / "pattern.json"
+    assert main(["compile", "--circuit", str(files["circuit"]), "--out", str(pat)]) == 0
+    capsys.readouterr()
+    code, rep = run_cli(["branches", "--pattern", str(pat), "--backend", backend], capsys)
+    assert code == 0
+    for b in rep["result"]["branches"]:
+        assert abs(b["log2_probability"] - math.log2(b["probability"])) < 1e-9
 
 
 def test_exit_code_validation(files, capsys):

@@ -138,7 +138,7 @@ def test_corrupted_frame_fails_determinism(rng):
         if b.outcomes[0] == 1:                  # corrupt one branch family
             frame.z[2] ^= 1
         bad.append(BranchRecord(b.outcomes, frame, b.output_state,
-                                b.probability, b.output_sites))
+                                b.probability, b.output_sites, b.log2_probability))
     report = check_determinism(bad, psi)
     assert not report.passed
     assert all(f["outcomes"][0] == 1 for f in report.failures)

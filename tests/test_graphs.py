@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from hypothesis import strategies as st
 from mbqc.errors import ValidationError
 from mbqc.graphs import (DefectMask, Graph, LatticeSpec, apply_site_defects,
                          build_lattice, has_spanning_cluster, spanning_probability)
+from mbqc.rng import make_rng
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (4, 9), (9, 4), (6, 6)]
+RATES = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0]
 
 
 def test_chain_is_path():
@@ -128,3 +133,64 @@ def test_spanning_probability_monotone_small():
     probs = [spanning_probability(spec, r, seeds) for r in (0.05, 0.3, 0.7)]
     assert probs[0] >= probs[1] >= probs[2]
     assert probs[0] > 0.9 and probs[2] < 0.1
+
+
+def test_spanning_probability_needs_a_seed():
+    with pytest.raises(ValidationError):
+        spanning_probability(LatticeSpec("grid2d", [3, 3]), 0.3, [])
+
+
+def _bfs_spans(graph, spec, mask, axis):
+    """Flood fill over the survivor graph from one boundary of the lattice."""
+    r, c = spec.dims
+    survivors = [v for v in range(r * c) if v not in mask.removed]
+    coord = [divmod(v, c) for v in survivors]
+    if axis == "column":
+        start = {i for i, (row, _) in enumerate(coord) if row == 0}
+        goal = {i for i, (row, _) in enumerate(coord) if row == r - 1}
+    else:
+        start = {i for i, (_, col) in enumerate(coord) if col == 0}
+        goal = {i for i, (_, col) in enumerate(coord) if col == c - 1}
+    adj = graph.adjacency()
+    seen, todo = set(start), deque(start)
+    while todo:
+        for w in adj[todo.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return bool(seen & goal)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_grid_path_matches_graph_path(shape):
+    spec = LatticeSpec("grid2d", list(shape))
+    seeds = list(range(12))
+    for rate in RATES:
+        for axis in ("row", "column"):
+            per_seed = []
+            for s in seeds:
+                g, m = apply_site_defects(spec, rate, s)
+                grid = spanning_probability(spec, rate, [s], axis=axis)
+                graph = has_spanning_cluster(g, spec, m, axis=axis)
+                assert grid == float(graph) == float(_bfs_spans(g, spec, m, axis)), \
+                    (shape, rate, axis, s)
+                per_seed.append(graph)
+            assert spanning_probability(spec, rate, seeds, axis=axis) == \
+                sum(per_seed) / len(seeds)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_defects_give_the_induced_subgraph_of_the_lattice(shape):
+    spec = LatticeSpec("grid2d", list(shape))
+    n = spec.n_vertices
+    full = build_lattice(spec)
+    for rate in RATES:
+        for s in range(5):
+            g, m = apply_site_defects(spec, rate, s)
+            draw = make_rng(s).random(n)
+            assert m.removed == {v for v in range(n) if draw[v] < rate}
+            survivors = [v for v in range(n) if v not in m.removed]
+            index = {v: i for i, v in enumerate(survivors)}
+            assert g.n_vertices == len(survivors)
+            assert set(g.edges) == {(index[a], index[b]) for a, b in full.edges
+                                    if a in index and b in index}
