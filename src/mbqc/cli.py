@@ -97,15 +97,15 @@ def _emit(args, result: dict, wall_ms: float) -> None:
 
 
 def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("MBQC_CAP")
-    if env:
+    cap, env = args.cap, os.environ.get("MBQC_CAP")
+    if cap is None:
         try:
-            return int(env)
+            cap = int(env) if env else DEFAULT_CAP
         except ValueError as exc:
             raise ValidationError(f"MBQC_CAP={env!r} is not an integer") from exc
-    return DEFAULT_CAP
+    if cap < 0:
+        raise ValidationError(f"cap must be a non-negative qubit count, got {cap}")
+    return cap
 
 
 def _backend_name(short: str) -> str:
@@ -182,14 +182,16 @@ def _cmd_compile(args) -> dict:
 def _cmd_partition(args) -> dict:
     import math
     from .statmech import (SpinModel, log_partition_function_bruteforce,
-                           partition_function_overlap)
+                           log_partition_function_overlap)
     model = SpinModel.from_json_dict(_load_json(args.model))
     if args.method == "brute":
         log_z = log_partition_function_bruteforce(model)
-        z = math.exp(log_z)
     else:
-        z = partition_function_overlap(model, cap=_resolve_cap(args))
-        log_z = math.log(z)
+        log_z = log_partition_function_overlap(model, cap=_resolve_cap(args))
+    try:
+        z = math.exp(log_z)
+    except OverflowError:
+        z = None
     return {"method": args.method, "Z": z, "log_Z": log_z,
             "n_spins": model.graph.n_vertices,
             "n_interactions": model.graph.n_edges}

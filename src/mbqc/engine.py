@@ -15,8 +15,8 @@ One depth-first walker executes patterns on both backends.
 ``enumerate_branches`` follows every outcome of probability at least
 ``PROB_TOL``, sharing measurement prefixes between branches.  A backend
 supplies only a step (the probability of outcome 0 plus a collapse onto a
-chosen outcome) and an output extraction.  The statevector step compacts
-each measured qubit, so the state halves with every measurement and
+chosen outcome) and an output extraction.  The statevector step projects
+out each measured qubit, so the state halves with every measurement and
 exhausting 2^k branches costs about k full-state passes rather than 2^k;
 the stabilizer step copies the tableau only for a pending sibling branch.
 """
@@ -32,9 +32,8 @@ import numpy as np
 from .errors import CapacityError, ContradictionError, ValidationError
 from .graphs import Graph
 from .rng import OutcomeSource, as_outcome_source
-from .statevector import (DEFAULT_CAP, StateVector, apply_cz, apply_pauli, compact,
-                          extract_qubits, fidelity_up_to_phase,
-                          measure_angle, measure_probability, permute_qubits, tensor)
+from .statevector import (DEFAULT_CAP, StateVector, _project, apply_cz, apply_pauli,
+                          extract_qubits, fidelity_up_to_phase, permute_qubits, tensor)
 from .tableau import Tableau, extract_subtableau, graph_state_tableau, tableau_to_statevector
 
 PROB_TOL = 1e-12
@@ -346,11 +345,12 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
         def sv_step(state, c, theta):
             sv, live = state              # live: site held by each qubit
             pos = live.index(c.site)
-            p0 = measure_probability(sv, pos, c.plane, theta, 0)
+            c0, p0 = _project(sv, pos, c.plane, theta, 0)
 
             def collapse(m, last):
-                _, collapsed = measure_angle(sv, pos, c.plane, theta, forced=m)
-                return compact(collapsed, pos), live[:pos] + live[pos + 1:]
+                cm, pm = (c0, p0) if m == 0 else _project(sv, pos, c.plane, theta, 1)
+                post = StateVector(sv.n - 1, cm / math.sqrt(pm))
+                return post, live[:pos] + live[pos + 1:]
             return p0, collapse
 
         def sv_output(state):

@@ -9,13 +9,15 @@ sizes.  Conventions, fixed once for the whole package:
   ``|+_theta> = (|0> + e^{i theta}|1>)/sqrt(2)`` (outcome 0) and
   ``|-_theta> = (|0> - e^{i theta}|1>)/sqrt(2)`` (outcome 1);
 * Z-plane outcome m projects onto ``|m>``;
-* a measured qubit stays in place until an explicit ``compact``.
+* ``measure_angle`` leaves the measured qubit in place until an explicit
+  ``compact``; the engine's step projects it out directly (``_project``).
 
 Default capacity is 22 qubits; operations beyond a cap fail fast with
 CapacityError instead of thrashing memory.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Optional, Sequence, Union
 
@@ -26,8 +28,8 @@ from .graphs import Graph
 from .rng import OutcomeSource, as_outcome_source
 
 DEFAULT_CAP = 22
-NORM_TOL = 1e-12
 FORCE_TOL = 1e-12
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class StateVector:
@@ -37,7 +39,7 @@ class StateVector:
 
     def __init__(self, n: int, amps: np.ndarray):
         self.n = int(n)
-        amps = np.asarray(amps, dtype=np.complex128)
+        amps = np.ascontiguousarray(amps, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise ValidationError(
                 f"amplitude array has shape {amps.shape}, expected {(1 << self.n,)}")
@@ -59,10 +61,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def check_normalized(self) -> None:
-        if abs(self.norm() - 1.0) > NORM_TOL * 10:
-            raise ValidationError(f"state norm drifted to {self.norm()}")
 
     def _bitpos(self, qubit: int) -> int:
         if not (0 <= qubit < self.n):
@@ -91,10 +89,9 @@ def apply_cz(state: StateVector, a: int, b: int) -> StateVector:
     """In-place CZ; sign flip where both qubits read 1."""
     if a == b:
         raise ValidationError("CZ targets must differ")
-    pa, pb = state._bitpos(a), state._bitpos(b)
-    idx = np.arange(state.amps.size, dtype=np.int64)
-    both = ((idx >> pa) & (idx >> pb) & 1).astype(bool)
-    state.amps[both] *= -1.0
+    lo, hi = sorted((state._bitpos(a), state._bitpos(b)))
+    blocks = state.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    blocks[:, 1, :, 1, :] *= -1.0
     return state
 
 
@@ -131,24 +128,24 @@ def apply_pauli(state: StateVector, kind: str, qubit: int) -> StateVector:
     return state
 
 
-def _projection_weight(state: StateVector, qubit: int, plane: str, theta: float,
-                       m: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Probability of outcome ``m`` plus the two collapsed half-blocks."""
+def _project(state: StateVector, qubit: int, plane: str, theta: float,
+             m: int) -> tuple[np.ndarray, float]:
+    """(c_m, p_m): outcome m's unnormalised post-state on the other qubits,
+    flat, and its probability ||c_m||^2.  c_m = (a0 +/- e^{-i theta} a1)/sqrt(2)
+    in the XY plane; in the Z plane c_m = a_m, which may be a view of
+    ``state``'s amplitudes, so callers must not write to it.
+    """
     a0, a1, _ = state._split(qubit)
     if plane == "Z":
-        if m == 0:
-            return float(np.vdot(a0, a0).real), a0.copy(), np.zeros_like(a1)
-        return float(np.vdot(a1, a1).real), np.zeros_like(a0), a1.copy()
-    if plane != "XY":
+        c = (a1 if m else a0).reshape(-1)
+    elif plane == "XY":
+        c = a1 * ((-1.0 if m else 1.0) * cmath.exp(-1j * theta))
+        c += a0
+        c *= _SQRT_HALF
+        c = c.reshape(-1)
+    else:
         raise ValidationError(f"plane must be XY or Z, got {plane!r}")
-    phase = np.exp(-1j * theta)
-    sgn = 1.0 if m == 0 else -1.0
-    c = (a0 + sgn * phase * a1) / math.sqrt(2.0)
-    prob = float(np.vdot(c, c).real)
-    # collapsed qubit state |+/-_theta>: (|0> +/- e^{i theta}|1>)/sqrt(2)
-    new0 = c / math.sqrt(2.0)
-    new1 = sgn * np.conj(phase) * c / math.sqrt(2.0)
-    return prob, new0, new1
+    return c, float(np.vdot(c, c).real)
 
 
 def measure_angle(state: StateVector, qubit: int, plane: str, theta: float,
@@ -162,38 +159,33 @@ def measure_angle(state: StateVector, qubit: int, plane: str, theta: float,
     """
     src = as_outcome_source(randomness,
                             forced=None if forced is None else {qubit: forced})
-    out = state.copy()
-    p0, new0_0, new0_1 = _projection_weight(out, qubit, plane, theta, 0)
+    c, prob = _project(state, qubit, plane, theta, 0)
 
     if src.has_forced(qubit):
         m = src.forced[qubit] & 1
+    elif prob > 1.0 - FORCE_TOL:
+        m = src.check_deterministic(qubit, 0)
+    elif prob < FORCE_TOL:
+        m = src.check_deterministic(qubit, 1)
     else:
-        if p0 > 1.0 - FORCE_TOL:
-            m = src.check_deterministic(qubit, 0)
-        elif p0 < FORCE_TOL:
-            m = src.check_deterministic(qubit, 1)
-        else:
-            m = src.draw(qubit)
+        m = src.draw(qubit)
 
-    if m == 0:
-        prob, n0, n1 = p0, new0_0, new0_1
-    else:
-        prob, n0, n1 = _projection_weight(out, qubit, plane, theta, 1)
+    if m == 1:
+        c, prob = _project(state, qubit, plane, theta, 1)
     if prob < FORCE_TOL:
         raise ContradictionError(
             f"outcome {m} at qubit {qubit} has probability {prob:.3e}")
-    a0, a1, _ = out._split(qubit)
-    scale = 1.0 / math.sqrt(prob)
-    a0[:] = n0 * scale
-    a1[:] = n1 * scale
-    return m, out
+    # the measured qubit goes back in place as |m> or |+/-_theta>
+    ket = ((1 - m, m) if plane == "Z" else
+           (_SQRT_HALF, (-1.0 if m else 1.0) * _SQRT_HALF * cmath.exp(1j * theta)))
+    c = c.reshape(1 << qubit, -1) / math.sqrt(prob)
+    return m, StateVector(state.n, np.stack([ket[0] * c, ket[1] * c], axis=1).reshape(-1))
 
 
 def measure_probability(state: StateVector, qubit: int, plane: str, theta: float,
                         m: int) -> float:
     """Probability of outcome ``m`` without collapsing."""
-    p, _, _ = _projection_weight(state, qubit, plane, theta, m)
-    return p
+    return _project(state, qubit, plane, theta, m)[1]
 
 
 class ProductState:
@@ -315,20 +307,3 @@ def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """a (qubits first) tensored with b."""
     return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
-
-
-def dump_binary(state: StateVector) -> bytes:
-    """Golden-test format: u64 qubit count, then little-endian (re, im) f64."""
-    header = np.array([state.n], dtype="<u8").tobytes()
-    inter = np.empty(2 * state.amps.size, dtype="<f8")
-    inter[0::2] = state.amps.real
-    inter[1::2] = state.amps.imag
-    return header + inter.tobytes()
-
-
-def load_binary(blob: bytes) -> StateVector:
-    n = int(np.frombuffer(blob[:8], dtype="<u8")[0])
-    flat = np.frombuffer(blob[8:], dtype="<f8")
-    if flat.size != 2 << n:
-        raise ValidationError("binary dump has wrong length")
-    return StateVector(n, flat[0::2] + 1j * flat[1::2])

@@ -202,6 +202,9 @@ class HoleSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HoleSpec":
+        unknown = sorted(set(d) - {"electric", "magnetic"}) if isinstance(d, dict) else []
+        if unknown:
+            raise ValidationError(f"bad holes JSON: unknown keys {unknown}")
         fields = [d.get(k, []) if isinstance(d, dict) else None
                   for k in ("electric", "magnetic")]
         if not all(isinstance(f, list) and all(

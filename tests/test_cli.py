@@ -176,12 +176,36 @@ def test_malformed_lattice_json_is_a_validation_error(lattice, files, capsys):
 @pytest.mark.parametrize("holes", [{"electric": [[1, 1, 0], [1, 2, 0]]},
                                    {"magnetic": [[0, 0], [1]]},
                                    {"electric": 5}, {"magnetic": [3, 4]},
-                                   {"electric": [["a", 1], [1, 2]]}, [[1, 1]]])
+                                   {"electric": [["a", 1], [1, 2]]}, [[1, 1]],
+                                   {"electirc": [[1, 1], [1, 2]]},
+                                   {"electric": [[1, 1], [1, 2]], "extra": 0}])
 def test_malformed_holes_json_is_a_validation_error(holes, files, capsys):
     path = files["tmp"] / "bad_holes.json"
     path.write_text(json.dumps(holes))
     _assert_input_rejected(["slice", "--layout", str(files["layout"]),
                             "--holes", str(path)], capsys)
+
+
+@pytest.mark.parametrize("method", ["overlap", "brute"])
+def test_partition_reports_log_z_when_z_overflows(method, files, capsys):
+    path = files["tmp"] / "strong.json"
+    path.write_text(json.dumps({"graph": {"n": 2, "edges": [[0, 1]]}, "J": {"0-1": 1000},
+                                "h": {"0": 0, "1": 0}, "beta": 1}))
+    out = files["tmp"] / "strong_report.json"
+    code, _ = run_cli(["partition", "--model", str(path), "--method", method,
+                       "--json-out", str(out)], capsys)
+    assert code == 0
+    report = json.loads(out.read_text())
+    _validator("run_report.schema.json").validate(report)
+    assert report["result"]["Z"] is None
+    assert abs(report["result"]["log_Z"] - (1000 + math.log(2))) < 1e-9
+
+
+@pytest.mark.parametrize("flag,env", [(["--cap", "-1"], None), ([], "-5")])
+def test_negative_cap_is_a_validation_error(flag, env, files, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("MBQC_CAP", env)
+    _assert_input_rejected(["partition", "--model", str(files["model"])] + flag, capsys)
 
 
 def test_long_clifford_run_reports_log2_probability(files, capsys):

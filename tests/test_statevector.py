@@ -4,9 +4,10 @@ import pytest
 from conftest import random_state
 from mbqc.errors import CapacityError, ContradictionError, ValidationError
 from mbqc.graphs import Graph
+from mbqc.engine import MeasurementCommand, MeasurementPattern, _backend
 from mbqc.statevector import (ProductState, StateVector, apply_cz, apply_local,
-                              compact, dump_binary, extract_qubits,
-                              fidelity_up_to_phase, graph_state_vector, load_binary,
+                              compact, extract_qubits,
+                              fidelity_up_to_phase, graph_state_vector,
                               measure_angle, measure_probability, overlap,
                               pauli_expectation, tensor)
 
@@ -163,13 +164,6 @@ def test_extract_qubits_reorders(rng):
     assert fidelity_up_to_phase(swapped, tensor(b, a)) > 1 - 1e-12
 
 
-def test_binary_dump_round_trip(rng):
-    sv = random_state(3, rng)
-    sv2 = load_binary(dump_binary(sv))
-    assert sv2.n == 3
-    assert np.allclose(sv2.amps, sv.amps)
-
-
 def test_pauli_expectation_on_graph_state(rng):
     from mbqc.pauli import PauliString
     g = Graph(3, [(0, 1), (1, 2)])
@@ -178,3 +172,60 @@ def test_pauli_expectation_on_graph_state(rng):
     assert abs(val - 1) < 1e-12
     val = pauli_expectation(sv, PauliString.from_text("+XII"))
     assert abs(val) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_apply_cz_matches_the_index_mask(n, rng):
+    idx = np.arange(1 << n)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            sv = random_state(n, rng)
+            both = ((idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1).astype(bool)
+            want = np.where(both, -sv.amps, sv.amps)
+            assert np.array_equal(apply_cz(sv, a, b).amps, want), (a, b)
+
+
+def test_apply_cz_rejects_bad_targets():
+    sv = StateVector.plus_state(3)
+    for a, b in ((1, 1), (0, 3), (-1, 2), (2, 5)):
+        with pytest.raises(ValidationError):
+            apply_cz(sv, a, b)
+
+
+def _projector_reference(sv, q, plane, theta, m):
+    """p_m and the compacted post-state from the dense 2^n projector."""
+    if plane == "Z":
+        ket = np.array([1.0 - m, m], dtype=complex)
+    else:
+        ket = np.array([1.0, (-1) ** m * np.exp(1j * theta)]) / np.sqrt(2)
+    proj = np.kron(np.kron(np.eye(1 << q), np.outer(ket, ket.conj())),
+                   np.eye(1 << (sv.n - 1 - q)))
+    post = proj @ sv.amps
+    p = float(np.vdot(post, post).real)
+    return p, compact(StateVector(sv.n, post / np.sqrt(p)), q)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fused_step_matches_measure_then_compact(n, rng):
+    # the engine's statevector step against compact(measure_angle(...)) and
+    # against a dense projector, for every qubit, plane and outcome
+    pattern = MeasurementPattern(Graph(n, []), [], [], [])
+    _, step, _ = _backend(pattern, None, "statevector", n)
+    for q in range(n):
+        for plane in ("XY", "Z"):
+            sv = random_state(n, rng)
+            theta = float(rng.uniform(-np.pi, np.pi)) if plane == "XY" else 0.0
+            p0, collapse = step((sv, list(range(n))), MeasurementCommand(q, plane), theta)
+            for m in (0, 1):
+                p_ref, post_ref = _projector_reference(sv, q, plane, theta, m)
+                assert abs((1.0 - p0 if m else p0) - p_ref) < 1e-12
+                assert abs(measure_probability(sv, q, plane, theta, m) - p_ref) < 1e-12
+                _, measured = measure_angle(sv, q, plane, theta, forced=m)
+                inline = compact(measured, q)
+                post, live = collapse(m, False)
+                assert live == [k for k in range(n) if k != q]
+                assert fidelity_up_to_phase(post, inline) >= 1 - 1e-12
+                assert fidelity_up_to_phase(post, post_ref) >= 1 - 1e-12
+                assert abs(post.norm() - 1) < 1e-12

@@ -6,6 +6,7 @@ from mbqc.errors import CapacityError, ValidationError
 from mbqc.graphs import Graph, LatticeSpec, build_lattice
 from mbqc.statmech import (SpinModel, decorate, energy,
                            log_partition_function_bruteforce,
+                           log_partition_function_overlap,
                            partition_function_bruteforce,
                            partition_function_overlap)
 
@@ -165,6 +166,24 @@ def test_log_domain_survives_huge_couplings():
     m = two_spin(j=800.0)
     lz = log_partition_function_bruteforce(m)
     assert abs(lz - (800.0 + math.log(2))) < 1e-6
+    assert abs(log_partition_function_overlap(m) - (800.0 + math.log(2))) < 1e-9
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (7, 0), (3, 3), (6, 9), (8, 14),
+                                 (11, 11), (12, 10), (9, 13)])
+def test_edge_by_edge_overlap_matches_brute_force(n, m, rng):
+    # random simple graphs with n + m up to the default cap of 22
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for _ in range(3):
+        picks = rng.choice(len(pairs), size=m, replace=False) if m else []
+        g = Graph(n, [pairs[i] for i in picks])
+        model = SpinModel.build(
+            g, {e: float(rng.uniform(-2, 2)) for e in g.edges},
+            {v: float(rng.uniform(-2, 2)) for v in range(n)},
+            float(rng.choice([0.1, 0.5, 1.0, 3.0])))
+        want = log_partition_function_bruteforce(model)
+        got = log_partition_function_overlap(model)
+        assert abs(got - want) < 1e-9 * max(1.0, abs(want)), (n, m)
 
 
 def test_brute_force_cap():
