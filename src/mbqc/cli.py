@@ -4,8 +4,9 @@ Subcommands: graph-state, run-pattern, branches, compile, partition,
 slice, percolation.  Exit codes: 0 success, 2 validation error (including
 usage), 3 capacity exceeded, 4 verification failure.
 
-``--json-out`` writes a deterministic report (same argv + same seed give
-byte-identical files; wall time appears only on stdout).  ``--cap``
+``--json-out`` writes a deterministic report (same argv give byte-identical
+files; wall time appears only on stdout).  ``--seed`` (run-pattern, slice,
+percolation) seeds the outcome and defect draws.  ``--cap``
 (run-pattern, branches, partition) overrides the statevector qubit cap,
 defaulting to the ``MBQC_CAP`` environment variable when set.
 """
@@ -247,8 +248,9 @@ def _build_parser() -> _CliParser:
     parser.add_argument("--version", action="version", version=f"mbqc {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, cap=False, backend=False):
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    def common(p, cap=False, backend=False, seed=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument("--json-out", default=None, metavar="PATH",
                        help="write a deterministic JSON report here")
         if cap:
@@ -266,7 +268,7 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("run-pattern", help="execute one branch of a pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--force-outcomes", default=None, metavar="SITE=BIT,...")
-    common(p, cap=True, backend=True)
+    common(p, cap=True, backend=True, seed=True)
     p.set_defaults(func=_cmd_run_pattern)
 
     p = sub.add_parser("branches", help="enumerate every branch of a pattern")
@@ -292,7 +294,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--holes", default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--force-outcomes", default=None, metavar="SITE=BIT,...")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_slice)
 
     p = sub.add_parser("percolation", help="site-defect spanning statistics")
@@ -301,7 +303,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--n-seeds", type=int, default=200)
     p.add_argument("--axis", choices=("row", "column"), default="column")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_percolation)
     return parser
 

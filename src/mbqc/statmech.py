@@ -50,13 +50,10 @@ class SpinModel:
     couplings: dict[tuple[int, int], float]
     fields: dict[int, float]
     beta: float
-    q: int = 2      # reserved for Potts-format compatibility; only 2 supported
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValidationError("beta must be finite and positive")
-        if self.q != 2:
-            raise ValidationError("only q=2 (Ising) models are supported")
         edges = set(self.graph.edges)
         keys = set(self.couplings)
         if keys != edges:
@@ -72,14 +69,14 @@ class SpinModel:
                 raise ValidationError("fields must be finite")
 
     @classmethod
-    def build(cls, graph: Graph, couplings: Mapping, fields: Mapping, beta: float,
-              q: int = 2) -> "SpinModel":
+    def build(cls, graph: Graph, couplings: Mapping, fields: Mapping,
+              beta: float) -> "SpinModel":
         canon = {}
         for (a, b), j in couplings.items():
             key = (a, b) if a < b else (b, a)
             canon[key] = float(j)
         return cls(graph, canon, {int(k): float(v) for k, v in fields.items()},
-                   float(beta), int(q))
+                   float(beta))
 
     @classmethod
     def uniform(cls, graph: Graph, j: float, h: float, beta: float) -> "SpinModel":
@@ -90,7 +87,7 @@ class SpinModel:
         return {"graph": self.graph.to_json_dict(),
                 "J": {f"{a}-{b}": j for (a, b), j in sorted(self.couplings.items())},
                 "h": {str(v): h for v, h in sorted(self.fields.items())},
-                "beta": self.beta, "q": self.q}
+                "beta": self.beta}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
@@ -104,8 +101,9 @@ class SpinModel:
                 a, b = key.split("-")
                 couplings[(int(a), int(b))] = float(j)
             fields = {int(k): float(v) for k, v in d.get("h", {}).items()}
-            return cls.build(graph, couplings, fields, float(d["beta"]),
-                             int(d.get("q", 2)))
+            if d.get("q", 2) != 2:          # the schema's Potts field; Ising only
+                raise ValidationError("only q=2 (Ising) models are supported")
+            return cls.build(graph, couplings, fields, float(d["beta"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad spin model JSON: {exc}") from exc
 

@@ -6,11 +6,15 @@ Row ``i`` of the destabilizers anticommutes with stabilizer row ``i`` and
 commutes with every other stabilizer row; all updates preserve this
 pairing, which is what makes measurement updates O(n*w) word operations.
 
-Measurement handles X, Y and Z observables through one code path: an
-observable that anticommutes with some stabilizer row gives a fair random
-(or forced) outcome and a pivot row replacement; otherwise the outcome is
-read off deterministically from a destabilizer-selected product of
-stabilizer rows, before any randomness is consumed.
+Every Pauli question starts from one anticommutation column: which of the
+2n rows anticommute with the observable.  If a stabilizer row does, a
+measurement gives a fair random (or forced) outcome and a pivot row
+replacement.  Otherwise the observable is ``+/-`` a group member, and one
+membership routine answers both "what is the deterministic outcome?" and
+"is ``+/-P`` in the stabilizer group?": the destabilizers that anticommute
+with P select the stabilizer rows whose product must equal P, and the
+product's sign is the answer.  A deterministic outcome is read this way
+before any randomness is consumed.
 
 Phases are tracked internally modulo 4 (products of rows pass through
 ``+/-i``); every exposed row sign is real.
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
-from .pauli import PauliString, n_words, phase_exponent_mod4, symplectic_rank, unpack_bits
+from .pauli import PauliString, n_words, phase_exponent_mod4, unpack_bits
 from .rng import OutcomeSource, as_outcome_source
 
 _ONE = np.uint64(1)
@@ -48,16 +52,6 @@ class Tableau:
         self.signs = np.zeros(2 * self.n, dtype=np.uint8)
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def zero_state(cls, n: int) -> "Tableau":
-        """|0...0>: stabilizers Z_k, destabilizers X_k."""
-        t = cls(n)
-        for k in range(n):
-            w, m = k >> 6, _ONE << np.uint64(k & 63)
-            t.xs[k, w] |= m          # destabilizer X_k
-            t.zs[n + k, w] |= m      # stabilizer Z_k
-        return t
 
     @classmethod
     def plus_state(cls, n: int) -> "Tableau":
@@ -140,8 +134,7 @@ class Tableau:
         if gate in ("H", "S", "X", "Y", "Z"):
             q = targets[0]
             w, b = q >> 6, np.uint64(q & 63)
-            xcol = (self.xs[:, w] >> b) & _ONE
-            zcol = (self.zs[:, w] >> b) & _ONE
+            xcol, zcol = self._col_bits(q)
             if gate == "H":
                 self.signs ^= (xcol & zcol).astype(np.uint8)
                 self.xs[:, w] ^= (xcol ^ zcol) << b
@@ -162,10 +155,8 @@ class Tableau:
         a, b = targets
         wa, ba = a >> 6, np.uint64(a & 63)
         wb, bb = b >> 6, np.uint64(b & 63)
-        xa = (self.xs[:, wa] >> ba) & _ONE
-        za = (self.zs[:, wa] >> ba) & _ONE
-        xb = (self.xs[:, wb] >> bb) & _ONE
-        zb = (self.zs[:, wb] >> bb) & _ONE
+        xa, za = self._col_bits(a)
+        xb, zb = self._col_bits(b)
         if gate == "CNOT":
             self.signs ^= (xa & zb & (xb ^ za ^ _ONE)).astype(np.uint8)
             self.xs[:, wb] ^= xa << bb
@@ -180,6 +171,16 @@ class Tableau:
 
     # -- measurement --------------------------------------------------------
 
+    def _anticommuting(self, basis: str, qubit: int) -> np.ndarray:
+        """Which of the 2n rows anticommute with ``basis`` on ``qubit`` (bool)."""
+        if basis not in _OBS_BITS:
+            raise ValidationError(f"basis must be X, Y or Z, got {basis!r}")
+        if not (0 <= qubit < self.n):
+            raise ValidationError(f"qubit {qubit} out of range")
+        xo, zo = _OBS_BITS[basis]
+        xcol, zcol = self._col_bits(qubit)
+        return ((xcol if zo else 0) ^ (zcol if xo else 0)).astype(bool)
+
     def measure_pauli(self, basis: str, qubit: int,
                       randomness: Union[int, OutcomeSource, None] = None,
                       forced: Optional[int] = None) -> int:
@@ -191,22 +192,10 @@ class Tableau:
         pins the outcome of a balanced measurement and raises
         ContradictionError against a conflicting deterministic outcome.
         """
-        if basis not in _OBS_BITS:
-            raise ValidationError(f"basis must be X, Y or Z, got {basis!r}")
-        if not (0 <= qubit < self.n):
-            raise ValidationError(f"qubit {qubit} out of range")
+        anti = self._anticommuting(basis, qubit)
         src = as_outcome_source(randomness,
                                 forced=None if forced is None else {qubit: forced})
-        xo, zo = _OBS_BITS[basis]
-
-        xcol, zcol = self._col_bits(qubit)
-        if xo and zo:
-            anti = xcol ^ zcol
-        elif xo:
-            anti = zcol
-        else:
-            anti = xcol
-        anti = anti.astype(bool)
+        obs = PauliString.single(self.n, qubit, basis)
 
         stab_anti = np.flatnonzero(anti[self.n:])
         if stab_anti.size:
@@ -220,36 +209,21 @@ class Tableau:
             self.xs[p - self.n] = self.xs[p]
             self.zs[p - self.n] = self.zs[p]
             self.signs[p - self.n] = self.signs[p]
-            self.xs[p] = 0
-            self.zs[p] = 0
-            w, bmask = qubit >> 6, _ONE << np.uint64(qubit & 63)
-            if xo:
-                self.xs[p, w] |= bmask
-            if zo:
-                self.zs[p, w] |= bmask
+            self.xs[p] = obs.x
+            self.zs[p] = obs.z
             self.signs[p] = m
             if DEBUG_CHECKS:
                 self.check_invariants()
             return m
 
-        m_det = self._deterministic_outcome(anti, qubit, xo, zo)
+        m_det = self._member_sign_bit(anti, obs)
+        if m_det is None:
+            raise VerificationError("deterministic-outcome reconstruction failed")
         return src.check_deterministic(qubit, m_det)
 
     def outcome_is_random(self, basis: str, qubit: int) -> bool:
         """True when measuring the observable would give a fair coin."""
-        if basis not in _OBS_BITS:
-            raise ValidationError(f"basis must be X, Y or Z, got {basis!r}")
-        if not (0 <= qubit < self.n):
-            raise ValidationError(f"qubit {qubit} out of range")
-        xo, zo = _OBS_BITS[basis]
-        xcol, zcol = self._col_bits(qubit)
-        if xo and zo:
-            anti = xcol ^ zcol
-        elif xo:
-            anti = zcol
-        else:
-            anti = xcol
-        return bool(np.any(anti[self.n:]))
+        return bool(np.any(self._anticommuting(basis, qubit)[self.n:]))
 
     def _stab_row_product(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Product of the selected stabilizer rows (they all commute).
@@ -278,61 +252,64 @@ class Tableau:
             xs, zs, ph = newx, newz, newph
         return xs[0], zs[0], int(ph[0]) % 4
 
-    def _deterministic_outcome(self, anti: np.ndarray, qubit: int,
-                               xo: int, zo: int) -> int:
-        """Product of stabilizer rows selected by anticommuting destabilizers."""
-        sel = np.flatnonzero(anti[:self.n])
-        acc_x, acc_z, phase = self._stab_row_product(sel)
-        w, bmask = qubit >> 6, _ONE << np.uint64(qubit & 63)
-        exp_x = bmask if xo else np.uint64(0)
-        exp_z = bmask if zo else np.uint64(0)
-        ok = (acc_x[w] == exp_x and acc_z[w] == exp_z
-              and not np.any(np.delete(acc_x, w)) and not np.any(np.delete(acc_z, w))
-              and phase % 2 == 0)
-        if not ok:
-            raise VerificationError("deterministic-outcome reconstruction failed")
+    def _member_sign_bit(self, anti: np.ndarray, p: PauliString) -> Optional[int]:
+        """Bit s with ``(-1)^s`` times p's unsigned operator in the group, or None.
+
+        ``anti`` is p's anticommutation column.  A member commutes with
+        every stabilizer row and is the product of the rows whose paired
+        destabilizers anticommute with it; that product is compared
+        bit for bit.
+        """
+        if np.any(anti[self.n:]):
+            return None
+        acc_x, acc_z, phase = self._stab_row_product(np.flatnonzero(anti[:self.n]))
+        if not (np.array_equal(acc_x, p.x) and np.array_equal(acc_z, p.z)):
+            return None
+        if phase % 2:
+            raise VerificationError("group member with imaginary phase")
         return phase // 2
 
     # -- group queries ------------------------------------------------------
+
+    def _anticommuting_pauli(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Which of the 2n rows anticommute with the packed Pauli (x, z) (bool)."""
+        return (np.bitwise_count((self.xs & z) ^ (self.zs & x)).sum(axis=1) & 1).astype(bool)
 
     def stabilizer_group_contains(self, p: PauliString) -> Optional[int]:
         """Membership of ``+/-p`` in the stabilizer group.
 
         Returns the sign ``s`` such that ``s*p`` is a group member, or None.
-        Decided by the destabilizer pairing: the candidate subset of
-        generators is read off from which destabilizers anticommute with
-        ``p``, then the reconstructed product is compared bit-for-bit.
+        Decided by the destabilizer pairing, as for a deterministic
+        measurement outcome.
         """
         if p.n != self.n:
             raise ValidationError("qubit counts differ")
-        anti = (np.bitwise_count((self.xs & p.z) ^ (self.zs & p.x)).sum(axis=1)
-                & 1).astype(bool)
-        if np.any(anti[self.n:]):
+        s = self._member_sign_bit(self._anticommuting_pauli(p.x, p.z), p)
+        if s is None:
             return None
-        sel = np.flatnonzero(anti[:self.n])
-        acc_x, acc_z, phase = self._stab_row_product(sel)
-        if not (np.array_equal(acc_x, p.x) and np.array_equal(acc_z, p.z)):
-            return None
-        if phase % 2:
-            raise VerificationError("group member with imaginary phase")
-        rel = (phase // 2) ^ p.sign_bit
-        return -1 if rel else +1
+        return -1 if s ^ p.sign_bit else +1
 
     def check_invariants(self) -> None:
-        """Assert commutation structure and full rank; debug aid."""
-        for i in range(self.n):
-            si = self.stabilizer_row(i)
-            for j in range(i + 1, self.n):
-                if not si.commutes_with(self.stabilizer_row(j)):
-                    raise VerificationError(f"stabilizer rows {i},{j} anticommute")
-            for j in range(self.n):
-                dj = self.destabilizer_row(j)
-                want_anti = (i == j)
-                if si.commutes_with(dj) == want_anti:
-                    raise VerificationError(
-                        f"destabilizer pairing broken at ({i},{j})")
-        if symplectic_rank(self.stabilizer_rows()) != self.n:
-            raise VerificationError("stabilizer rows not independent")
+        """Assert the commutation structure; debug aid.
+
+        Stabilizer rows commute pairwise, and destabilizer ``i``
+        anticommutes with stabilizer ``j`` exactly when ``i == j``: one
+        packed popcount per stabilizer row.  The pairing implies that the
+        stabilizer rows are independent (a product of a nonempty subset
+        anticommutes with the destabilizers paired to that subset), so no
+        separate rank check is needed.
+        """
+        n = self.n
+        for i in range(n):
+            anti = self._anticommuting_pauli(self.xs[n + i], self.zs[n + i])
+            bad = np.flatnonzero(anti[n:])
+            if bad.size:
+                raise VerificationError(f"stabilizer rows {i},{int(bad[0])} anticommute")
+            anti[i] ^= True
+            bad = np.flatnonzero(anti[:n])
+            if bad.size:
+                raise VerificationError(
+                    f"destabilizer pairing broken at ({i},{int(bad[0])})")
 
 
 def graph_state_tableau(graph: Graph) -> Tableau:
@@ -366,7 +343,7 @@ def tableau_to_statevector(t: Tableau, cap: int = 14):
     Finds one basis state of nonzero amplitude by Z-measuring a scratch
     copy, then applies the stabilizer projectors (I+S)/2 and normalizes.
     """
-    from .statevector import StateVector
+    from .statevector import StateVector, apply_pauli_string
 
     if t.n > cap:
         raise CapacityError(f"{t.n} qubits exceeds statevector cap {cap}")
@@ -378,31 +355,13 @@ def tableau_to_statevector(t: Tableau, cap: int = 14):
         m = scratch.measure_pauli("Z", q, src)
         support |= m << (n - 1 - q)
 
-    vec = np.zeros(1 << n, dtype=np.complex128)
-    vec[support] = 1.0
-    idx = np.arange(1 << n, dtype=np.int64)
-    for i in range(n):
-        row = t.stabilizer_row(i)
-        xb = unpack_row_mask(row.x, n)
-        zb = unpack_row_mask(row.z, n)
-        y_count = int(np.bitwise_count(row.x & row.z).sum())
-        coeff = row.sign * (1j ** (y_count % 4))
-        phases = 1 - 2 * (np.bitwise_count(idx & zb) & 1).astype(np.float64)
-        moved = (coeff * phases * vec)[idx ^ xb]
-        vec = (vec + moved) / 2.0
-    norm = np.linalg.norm(vec)
+    state = StateVector.computational(n, support)
+    for row in t.stabilizer_rows():
+        state = StateVector(n, (state.amps + apply_pauli_string(state, row).amps) / 2.0)
+    norm = state.norm()
     if norm < 1e-9:
         raise VerificationError("projector product vanished; tableau inconsistent")
-    return StateVector(n, vec / norm)
-
-
-def unpack_row_mask(words: np.ndarray, n: int) -> int:
-    """Packed qubit bits -> dense integer mask with qubit 0 most significant."""
-    mask = 0
-    for k in range(n):
-        if (int(words[k >> 6]) >> (k & 63)) & 1:
-            mask |= 1 << (n - 1 - k)
-    return mask
+    return StateVector(n, state.amps / norm)
 
 
 def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:

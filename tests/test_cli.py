@@ -307,7 +307,11 @@ def test_flags_a_subcommand_does_not_take_are_usage_errors(files, capsys):
                  ["graph-state", "--lattice", str(files["lattice"]), "--backend", "sv"],
                  ["graph-state", "--lattice", str(files["lattice"]), "--cap", "3"],
                  ["slice", "--layout", str(files["layout"]), "--cap", "3"],
-                 ["percolation", "--rate", "0.3", "--cap", "3"]):
+                 ["percolation", "--rate", "0.3", "--cap", "3"],
+                 ["graph-state", "--lattice", str(files["lattice"]), "--seed", "1"],
+                 ["compile", "--circuit", str(files["circuit"]), "--seed", "1"],
+                 ["partition", "--model", str(files["model"]), "--seed", "1"],
+                 ["branches", "--pattern", str(files["circuit"]), "--seed", "1"]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "--" in err, argv
@@ -337,3 +341,13 @@ def test_input_files_validate_against_schemas(files):
         json.loads(files["holes"].read_text()))
     _validator("lattice.schema.json").validate(
         json.loads(files["lattice"].read_text()))
+
+
+def test_unseeded_subcommands_report_null_seed(files, capsys):
+    code, rep = run_cli(["graph-state", "--lattice", str(files["lattice"])], capsys)
+    assert code == 0 and rep["seed"] is None
+    code, rep = run_cli(["partition", "--model", str(files["model"])], capsys)
+    assert code == 0 and rep["seed"] is None
+    code, rep = run_cli(["percolation", "--rate", "0.3", "--rows", "4", "--cols", "4",
+                         "--n-seeds", "2"], capsys)
+    assert code == 0 and rep["seed"] == 0

@@ -56,8 +56,12 @@ def test_model_key_validation():
         SpinModel.build(g, {(0, 1): 1.0}, {0: 0.0}, 1.0)          # missing h
     with pytest.raises(ValidationError):
         SpinModel.build(g, {(0, 1): 1.0}, {0: 0.0, 1: 0.0}, -1.0)
-    with pytest.raises(ValidationError):
-        SpinModel.build(g, {(0, 1): 1.0}, {0: 0.0, 1: 0.0}, 1.0, q=3)
+    doc = {"graph": {"n": 2, "edges": [[0, 1]]}, "J": {"0-1": 1.0},
+           "h": {"0": 0.0, "1": 0.0}, "beta": 1.0}
+    assert SpinModel.from_json_dict({**doc, "q": 2}) == SpinModel.from_json_dict(doc)
+    for q in (3, 2.5, "2", True):
+        with pytest.raises(ValidationError, match="only q=2"):
+            SpinModel.from_json_dict({**doc, "q": q})
 
 
 def test_single_spin_partition_function():
@@ -205,4 +209,3 @@ def test_json_round_trip():
     m = SpinModel.uniform(g, 1.5, -0.25, 0.5)
     m2 = SpinModel.from_json(m.to_json())
     assert m2.to_json() == m.to_json()
-    assert m2.q == 2

@@ -254,3 +254,55 @@ def test_functional_wrappers_leave_input_untouched():
 def test_dump_golden_format():
     t = graph_state_tableau(Graph(3, [(0, 1), (1, 2)]))
     assert t.dump() == "+XZI\n+ZXZ\n+IZX"
+
+
+def _scrambled_tableau(n, rng, n_measured):
+    """Graph state on n qubits after random single-qubit Pauli measurements."""
+    t = graph_state_tableau(random_graph(n, rng, p=0.1))
+    src = OutcomeSource(rng=rng)
+    for q in rng.choice(n, size=n_measured, replace=False):
+        t.measure_pauli(str(rng.choice(["X", "Y", "Z"])), int(q), src)
+    return t
+
+
+def test_check_invariants_catches_anticommuting_stabilizers(rng):
+    from mbqc.errors import VerificationError
+    n = 70                                      # two words per row
+    t = _scrambled_tableau(n, rng, 30)
+    t.check_invariants()
+    i, j = 3, 66
+    # S_i * D_j still pairs with D_i but anticommutes with S_j only
+    t.xs[n + i] ^= t.xs[j]
+    t.zs[n + i] ^= t.zs[j]
+    with pytest.raises(VerificationError, match=f"stabilizer rows {i},{j} anticommute"):
+        t.check_invariants()
+
+
+def test_check_invariants_catches_broken_pairing(rng):
+    from mbqc.errors import VerificationError
+    n = 70
+    t = _scrambled_tableau(n, rng, 30)
+    i, j = 67, 5
+    # D_i * D_j anticommutes with S_j as well as S_i; stabilizers untouched
+    t.xs[i] ^= t.xs[j]
+    t.zs[i] ^= t.zs[j]
+    with pytest.raises(VerificationError, match=rf"destabilizer pairing broken at \({j},{i}\)"):
+        t.check_invariants()
+
+
+def test_deterministic_outcome_is_group_membership(rng):
+    n = 80
+    t = _scrambled_tableau(n, rng, 40)
+    n_det = 0
+    for q in range(n):
+        for basis in "XYZ":
+            sign = t.stabilizer_group_contains(PauliString.single(n, q, basis))
+            if t.outcome_is_random(basis, q):
+                assert sign is None
+                continue
+            n_det += 1
+            scratch = t.copy()
+            m = scratch.measure_pauli(basis, q, OutcomeSource.from_seed(0))
+            assert sign == (-1) ** m
+            assert np.array_equal(scratch.xs, t.xs) and np.array_equal(scratch.signs, t.signs)
+    assert n_det >= 40                          # every measured qubit, at least
