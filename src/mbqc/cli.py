@@ -130,9 +130,6 @@ def _cmd_graph_state(args) -> dict:
 
 def _cmd_run_pattern(args) -> dict:
     pattern = MeasurementPattern.from_json_dict(_load_json(args.pattern))
-    issues = validate_pattern(pattern)
-    if issues:
-        raise ValidationError("; ".join(issues))
     rec = run_pattern(pattern, backend=_backend_name(args.backend),
                       randomness=args.seed, forced=_parse_forced(args.force_outcomes),
                       cap=_resolve_cap(args))
@@ -149,9 +146,6 @@ def _cmd_run_pattern(args) -> dict:
 
 def _cmd_branches(args) -> dict:
     pattern = MeasurementPattern.from_json_dict(_load_json(args.pattern))
-    issues = validate_pattern(pattern)
-    if issues:
-        raise ValidationError("; ".join(issues))
     branches = enumerate_branches(pattern, backend=_backend_name(args.backend),
                                   branch_cap=args.branch_cap, cap=_resolve_cap(args))
     psum = sum(b.probability for b in branches)

@@ -29,14 +29,13 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ContradictionError, ValidationError
+from .errors import CapacityError, ValidationError, json_int, json_number
 from .graphs import Graph
-from .rng import OutcomeSource, as_outcome_source
+from .rng import PROB_TOL, OutcomeSource, as_outcome_source
 from .statevector import (DEFAULT_CAP, StateVector, _project, apply_cz, apply_pauli,
                           extract_qubits, fidelity_up_to_phase, permute_qubits, tensor)
 from .tableau import Tableau, extract_subtableau, graph_state_tableau, tableau_to_statevector
 
-PROB_TOL = 1e-12
 HALF_PI = math.pi / 2.0
 
 
@@ -150,18 +149,23 @@ class MeasurementPattern:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MeasurementPattern":
+        def sites(values, what):
+            return [json_int(v, what) for v in values]
+
         try:
             resource = Graph.from_json_dict(d["resource"])
-            commands = [MeasurementCommand(int(c["site"]), c.get("plane", "XY"),
-                                           float(c.get("angle", 0.0)),
-                                           frozenset(c.get("s", ())),
-                                           frozenset(c.get("t", ())))
+            commands = [MeasurementCommand(json_int(c["site"], "command site"),
+                                           c.get("plane", "XY"),
+                                           json_number(c.get("angle", 0.0), "command angle"),
+                                           frozenset(sites(c.get("s", ()), "s dependency")),
+                                           frozenset(sites(c.get("t", ()), "t dependency")))
                         for c in d.get("commands", ())]
-            corrections = {int(site): rule
+            corrections = {int(site): {k: sites(rule.get(k, ()), "correction target")
+                                       for k in ("x_on", "z_on")}
                            for site, rule in d.get("corrections", {}).items()}
-            return cls(resource, d.get("inputs", ()), d.get("outputs", ()),
-                       commands, corrections)
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(resource, sites(d.get("inputs", ()), "input site"),
+                       sites(d.get("outputs", ()), "output site"), commands, corrections)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad pattern JSON: {exc}") from exc
 
     @classmethod
@@ -283,21 +287,11 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
     return _walk(p, input_state, backend, cap, None)
 
 
-def _choose_outcome(src: OutcomeSource, site: int, p0: float) -> int:
-    if src.has_forced(site):
-        return src.forced[site] & 1
-    if p0 > 1.0 - PROB_TOL:
-        return 0
-    if p0 < PROB_TOL:
-        return 1
-    return src.draw(site)
-
-
 def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
           cap: int, src: Optional[OutcomeSource]) -> list[BranchRecord]:
     """Depth-first walk over the commands, outcome 0 before outcome 1.
 
-    With a source, follow the one outcome ``_choose_outcome`` picks per
+    With a source, follow the one outcome ``OutcomeSource.choose`` picks per
     command; without one, follow every outcome of probability >= PROB_TOL.
     The stack is explicit because patterns run to thousands of commands.
     """
@@ -316,12 +310,8 @@ def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: st
         if src is None:
             chosen = [(m, pm) for m, pm in ((0, p0), (1, 1.0 - p0)) if pm >= PROB_TOL]
         else:
-            m = _choose_outcome(src, c.site, p0)
-            pm = p0 if m == 0 else 1.0 - p0
-            if pm < PROB_TOL:
-                raise ContradictionError(
-                    f"outcome {m} at site {c.site} has probability {pm:.3e}")
-            chosen = [(m, pm)]
+            m = src.choose(c.site, p0)
+            chosen = [(m, p0 if m == 0 else 1.0 - p0)]
         # push outcome 1 first so 0 is walked first; only the last collapse
         # may consume ``state`` and ``outcomes``
         for m, pm in reversed(chosen):

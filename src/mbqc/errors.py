@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all simulator modules.
 
 Each class maps to one CLI exit code, so failures stay distinguishable
-end to end: validation -> 2, capacity -> 3, verification -> 4.
+end to end: validation -> 2, capacity -> 3, verification -> 4.  Input parsers
+type JSON fields as ``docs/schemas`` does, through ``json_int``/``json_number``.
 """
 
 
@@ -23,3 +24,18 @@ class ContradictionError(MbqcError):
 
 class VerificationError(MbqcError):
     """A self-check that should hold by construction failed."""
+
+
+def json_int(value, what: str) -> int:
+    """A JSON Schema ``integer``: an int or an integral float (``2.0``),
+    never a bool or a string."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def json_number(value, what: str) -> float:
+    """A JSON Schema ``number``: an int or a float, never a bool or a string."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ValidationError(f"{what} must be a number, got {value!r}")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .rng import make_rng
 
 _LATTICE_KINDS = ("chain", "star", "grid2d", "grid3d")
@@ -97,7 +97,9 @@ class Graph:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Graph":
         try:
-            return cls(int(d["n"]), d.get("edges", []))
+            n = json_int(d["n"], "graph n")
+            return cls(n, [(json_int(a, "edge vertex"), json_int(b, "edge vertex"))
+                           for a, b in d.get("edges", [])])
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad graph JSON: {exc}") from exc
 
@@ -142,7 +144,7 @@ class LatticeSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "LatticeSpec":
         try:
-            return cls(d["kind"], d["dims"])
+            return cls(d["kind"], [json_int(k, "lattice dims entry") for k in d["dims"]])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad lattice JSON: {exc}") from exc
 

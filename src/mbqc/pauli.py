@@ -25,20 +25,46 @@ def n_words(n_qubits: int) -> int:
     return max(1, (n_qubits + WORD_BITS - 1) // WORD_BITS)
 
 
-def pack_bits(bits: Sequence[int] | np.ndarray, n_qubits: int) -> np.ndarray:
-    """Pack qubit-indexed bits (qubit k -> word k//64, bit k%64) into uint64."""
-    words = np.zeros(n_words(n_qubits), dtype=np.uint64)
-    for k, b in enumerate(bits):
-        if b:
-            words[k >> 6] |= np.uint64(1) << np.uint64(k & 63)
-    return words
+def pack_bits(bits: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Pack 0/1 bits along the last axis into uint64 words.
+
+    Qubit k goes to word k // 64, bit k % 64; the words of a row are
+    little-endian, so the row is ``np.packbits(..., bitorder="little")``
+    read as ``<u8``.  Any stack of rows packs at once.
+    """
+    bits = np.asarray(bits) != 0
+    n = bits.shape[-1]
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    octets = np.zeros(bits.shape[:-1] + (8 * n_words(n),), dtype=np.uint8)
+    octets[..., :packed.shape[-1]] = packed
+    return octets.view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_bits(words: np.ndarray, n_qubits: int) -> np.ndarray:
-    out = np.zeros(n_qubits, dtype=np.uint8)
-    for k in range(n_qubits):
-        out[k] = (int(words[k >> 6]) >> (k & 63)) & 1
-    return out
+    """Inverse of ``pack_bits``: uint8 0/1 bits of the first ``n_qubits``
+    qubits, along the last axis of any stack of packed rows."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=n_qubits, bitorder="little")
+
+
+def flip_bits(words: np.ndarray, rows, qubits) -> None:
+    """XOR bit ``qubits[i]`` of packed row ``rows[i]`` in place, for every i.
+
+    Repeated (row, qubit) entries cancel in pairs.
+    """
+    qubits = np.asarray(qubits, dtype=np.int64)
+    masks = np.left_shift(np.uint64(1), (qubits & 63).astype(np.uint64))
+    np.bitwise_xor.at(words, (rows, qubits >> 6), masks)
+
+
+def column(words: np.ndarray, q: int) -> np.ndarray:
+    """Bit ``q`` of every packed row, as uint64 0/1."""
+    return (words[:, q >> 6] >> np.uint64(q & 63)) & np.uint64(1)
+
+
+def xor_column(words: np.ndarray, q: int, bits: np.ndarray) -> None:
+    """XOR uint64 0/1 ``bits`` (one per row) into bit ``q`` of every packed row."""
+    words[:, q >> 6] ^= bits << np.uint64(q & 63)
 
 
 def phase_exponent_mod4(x1: np.ndarray, z1: np.ndarray,
@@ -80,27 +106,33 @@ class PauliString:
     @classmethod
     def from_bits(cls, x_bits: Iterable[int], z_bits: Iterable[int], sign: int = +1
                   ) -> "PauliString":
-        xb = list(x_bits)
-        zb = list(z_bits)
+        xb, zb = list(x_bits), list(z_bits)
         if len(xb) != len(zb):
             raise ValidationError("x and z bit vectors must have equal length")
-        return cls(len(xb), pack_bits(xb, len(xb)), pack_bits(zb, len(xb)), sign)
+        return cls(len(xb), pack_bits(xb), pack_bits(zb), sign)
+
+    @classmethod
+    def from_support(cls, n: int, x_on: Iterable[int] = (), z_on: Iterable[int] = (),
+                     sign: int = +1) -> "PauliString":
+        """X on ``x_on`` and Z on ``z_on`` (Y where both); a qubit listed
+        twice in one of them cancels."""
+        x_on, z_on = list(x_on), list(z_on)
+        if not all(0 <= q < n for q in x_on + z_on):
+            raise ValidationError(f"support out of range for {n} qubits")
+        words = np.zeros((2, n_words(n)), dtype=np.uint64)
+        flip_bits(words, [0] * len(x_on) + [1] * len(z_on), x_on + z_on)
+        return cls(n, words[0], words[1], sign)
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
         """Parse the text form, e.g. ``+XZZI`` or ``-IYXZ``."""
         text = text.strip()
-        sign = +1
-        if text and text[0] in "+-":
-            sign = -1 if text[0] == "-" else +1
-            text = text[1:]
-        xb, zb = [], []
+        sign = -1 if text.startswith("-") else +1
+        text = text[1:] if text.startswith(("+", "-")) else text
         for ch in text:
             if ch not in "IXYZ":
                 raise ValidationError(f"bad Pauli character {ch!r}")
-            xb.append(1 if ch in "XY" else 0)
-            zb.append(1 if ch in "ZY" else 0)
-        return cls.from_bits(xb, zb, sign)
+        return cls.from_bits([ch in "XY" for ch in text], [ch in "ZY" for ch in text], sign)
 
     @classmethod
     def single(cls, n: int, qubit: int, kind: str, sign: int = +1) -> "PauliString":

@@ -6,7 +6,8 @@ are bit-reproducible across platforms.
 
 Measurement operations accept an ``OutcomeSource``: either a seeded stream of
 fair bits or a table of forced outcomes per site/qubit, used by branch
-enumeration and the CLI's ``--force-outcomes`` flag.
+enumeration and the CLI's ``--force-outcomes`` flag.  ``OutcomeSource.choose``
+is the one outcome rule every backend follows.
 """
 from __future__ import annotations
 
@@ -15,6 +16,9 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .errors import ContradictionError
+
+# An outcome whose probability is below this is treated as impossible.
+PROB_TOL = 1e-12
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -39,25 +43,33 @@ class OutcomeSource:
     def from_seed(cls, seed: int, forced: Optional[Mapping[int, int]] = None) -> "OutcomeSource":
         return cls(rng=make_rng(seed), forced=forced)
 
-    def has_forced(self, key: int) -> bool:
-        return key in self.forced
-
     def draw(self, key: int) -> int:
-        """Outcome bit for a balanced (p=1/2) measurement at ``key``."""
-        if key in self.forced:
-            return int(self.forced[key]) & 1
+        """One fair bit from the random stream, for the measurement at ``key``."""
         if self.rng is None:
             raise ContradictionError(
                 f"no forced outcome for site {key} and no random stream configured")
         return int(self.rng.integers(0, 2))
 
-    def check_deterministic(self, key: int, outcome: int) -> int:
-        """Validate a forced bit against a deterministic outcome."""
-        if key in self.forced and (self.forced[key] & 1) != outcome:
-            raise ContradictionError(
-                f"outcome at site {key} is deterministically {outcome}, "
-                f"cannot force {self.forced[key]}")
-        return outcome
+    def choose(self, key: int, p0: float) -> int:
+        """Outcome bit at ``key`` for a measurement giving 0 with probability p0.
+
+        A forced bit wins.  Otherwise an outcome that is certain (p0 within
+        PROB_TOL of 1 or 0) is returned without a draw, and any other
+        measurement draws one fair bit.  Raises ContradictionError when the
+        chosen outcome has probability below PROB_TOL.
+        """
+        if key in self.forced:
+            m = int(self.forced[key]) & 1
+        elif p0 > 1.0 - PROB_TOL:
+            m = 0
+        elif p0 < PROB_TOL:
+            m = 1
+        else:
+            m = self.draw(key)
+        pm = p0 if m == 0 else 1.0 - p0
+        if pm < PROB_TOL:
+            raise ContradictionError(f"outcome {m} at site {key} has probability {pm:.3e}")
+        return m
 
 
 def as_outcome_source(randomness: Union[int, OutcomeSource, None],

@@ -23,12 +23,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ContradictionError, ValidationError
+from .errors import CapacityError, ValidationError
 from .graphs import Graph
+from .pauli import unpack_bits
 from .rng import OutcomeSource, as_outcome_source
 
 DEFAULT_CAP = 22
-FORCE_TOL = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -155,26 +155,14 @@ def measure_angle(state: StateVector, qubit: int, plane: str, theta: float,
 
     Returns (outcome, post-state); the input is untouched and the measured
     qubit remains in place, collapsed onto the observed basis vector.
-    Forcing an outcome of probability below 1e-12 raises ContradictionError.
+    Forcing an outcome of probability below ``PROB_TOL`` raises ContradictionError.
     """
     src = as_outcome_source(randomness,
                             forced=None if forced is None else {qubit: forced})
     c, prob = _project(state, qubit, plane, theta, 0)
-
-    if src.has_forced(qubit):
-        m = src.forced[qubit] & 1
-    elif prob > 1.0 - FORCE_TOL:
-        m = src.check_deterministic(qubit, 0)
-    elif prob < FORCE_TOL:
-        m = src.check_deterministic(qubit, 1)
-    else:
-        m = src.draw(qubit)
-
+    m = src.choose(qubit, prob)
     if m == 1:
         c, prob = _project(state, qubit, plane, theta, 1)
-    if prob < FORCE_TOL:
-        raise ContradictionError(
-            f"outcome {m} at qubit {qubit} has probability {prob:.3e}")
     # the measured qubit goes back in place as |m> or |+/-_theta>
     ket = ((1 - m, m) if plane == "Z" else
            (_SQRT_HALF, (-1.0 if m else 1.0) * _SQRT_HALF * cmath.exp(1j * theta)))
@@ -235,16 +223,10 @@ def apply_pauli_string(state: StateVector, pauli) -> StateVector:
     if pauli.n != state.n:
         raise ValidationError("qubit counts differ")
     n = state.n
-    xmask = zmask = 0
-    ycount = 0
-    for k in range(n):
-        xb = (int(pauli.x[k >> 6]) >> (k & 63)) & 1
-        zb = (int(pauli.z[k >> 6]) >> (k & 63)) & 1
-        if xb:
-            xmask |= 1 << (n - 1 - k)
-        if zb:
-            zmask |= 1 << (n - 1 - k)
-        ycount += xb & zb
+    xb, zb = unpack_bits(np.stack([pauli.x, pauli.z]), n).astype(np.int64)
+    weights = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))  # qubit 0 is the MSB
+    xmask, zmask = int(xb @ weights), int(zb @ weights)
+    ycount = int(xb @ zb)
     idx = np.arange(state.amps.size, dtype=np.int64)
     phases = 1.0 - 2.0 * (np.bitwise_count(idx & zmask) & 1)
     coeff = pauli.sign * (1j ** (ycount % 4))

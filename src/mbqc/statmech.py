@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, VerificationError
+from .errors import CapacityError, ValidationError, VerificationError, json_number
 from .graphs import Graph
 from .statevector import DEFAULT_CAP, ProductState, StateVector, apply_cz, overlap
 
@@ -99,11 +99,11 @@ class SpinModel:
             couplings = {}
             for key, j in d.get("J", {}).items():
                 a, b = key.split("-")
-                couplings[(int(a), int(b))] = float(j)
-            fields = {int(k): float(v) for k, v in d.get("h", {}).items()}
+                couplings[(int(a), int(b))] = json_number(j, f"J[{key}]")
+            fields = {int(k): json_number(v, f"h[{k}]") for k, v in d.get("h", {}).items()}
             if d.get("q", 2) != 2:          # the schema's Potts field; Ising only
                 raise ValidationError("only q=2 (Ising) models are supported")
-            return cls.build(graph, couplings, fields, float(d["beta"]))
+            return cls.build(graph, couplings, fields, json_number(d["beta"], "beta"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad spin model JSON: {exc}") from exc
 

@@ -39,9 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .graphs import Graph
 from .pauli import PauliString, symplectic_rank
 from .rng import OutcomeSource, as_outcome_source
@@ -164,7 +162,8 @@ class SliceLayout:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SliceLayout":
         try:
-            return cls(int(d["code_rows"]), int(d["code_cols"]))
+            return cls(json_int(d["code_rows"], "code_rows"),
+                       json_int(d["code_cols"], "code_cols"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad layout JSON: {exc}") from exc
 
@@ -207,12 +206,11 @@ class HoleSpec:
             raise ValidationError(f"bad holes JSON: unknown keys {unknown}")
         fields = [d.get(k, []) if isinstance(d, dict) else None
                   for k in ("electric", "magnetic")]
-        if not all(isinstance(f, list) and all(
-                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
-                for p in f) for f in fields):
+        if not all(isinstance(f, list) and all(isinstance(p, list) and len(p) == 2 for p in f)
+                   for f in fields):
             raise ValidationError("bad holes JSON: electric and magnetic must be "
                                   "lists of [i, j] integer pairs")
-        return cls(*fields)
+        return cls(*([[json_int(x, "hole coordinate") for x in p] for p in f] for f in fields))
 
 
 @dataclass
@@ -269,17 +267,11 @@ def check_operator(layout: SliceLayout, kind: str, pos: tuple[int, int],
     elsewhere) when checking membership in a full slice tableau.
     """
     n = layout.n_code if n_qubits is None else n_qubits
-    p = PauliString(n)
-    i, j = pos
     if kind == "A":
-        for e in layout.site_edges(i, j):
-            p.x[e >> 6] |= np.uint64(1) << np.uint64(e & 63)
-    elif kind == "B":
-        for e in layout.face_edges(i, j):
-            p.z[e >> 6] |= np.uint64(1) << np.uint64(e & 63)
-    else:
-        raise ValidationError("check kind must be 'A' or 'B'")
-    return p
+        return PauliString.from_support(n, x_on=layout.site_edges(*pos))
+    if kind == "B":
+        return PauliString.from_support(n, z_on=layout.face_edges(*pos))
+    raise ValidationError("check kind must be 'A' or 'B'")
 
 
 def predicted_sign(layout: SliceLayout, kind: str, pos: tuple[int, int],
@@ -440,10 +432,8 @@ def logical_operators(layout: SliceLayout, holes: HoleSpec, kind: str,
         sites = [tuple(p) for p in path] if path else _site_path(layout, s0, s1)
         if sites[0] != tuple(s0) or sites[-1] != tuple(s1):
             raise ValidationError("path must run from the first hole to the second")
-        zbar = PauliString(n)
-        for a, b in zip(sites, sites[1:]):
-            e = layout.shared_edge(a, b)
-            zbar.z[e >> 6] ^= np.uint64(1) << np.uint64(e & 63)
+        zbar = PauliString.from_support(
+            n, z_on=[layout.shared_edge(a, b) for a, b in zip(sites, sites[1:])])
         xbar = check_operator(layout, "A", s0)
         return zbar, xbar
     if kind == "magnetic":
@@ -454,10 +444,8 @@ def logical_operators(layout: SliceLayout, holes: HoleSpec, kind: str,
         faces = [tuple(p) for p in path] if path else _dual_path(layout, p0, p1)
         if faces[0] != tuple(p0) or faces[-1] != tuple(p1):
             raise ValidationError("path must run from the first hole to the second")
-        xbar = PauliString(n)
-        for a, b in zip(faces, faces[1:]):
-            e = _face_shared_edge(layout, a, b)
-            xbar.x[e >> 6] ^= np.uint64(1) << np.uint64(e & 63)
+        xbar = PauliString.from_support(
+            n, x_on=[_face_shared_edge(layout, a, b) for a, b in zip(faces, faces[1:])])
         return zbar, xbar
     raise ValidationError("encoded qubit kind must be 'electric' or 'magnetic'")
 

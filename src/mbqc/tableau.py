@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
-from .pauli import PauliString, n_words, phase_exponent_mod4, unpack_bits
+from .pauli import (PauliString, column, flip_bits, n_words, pack_bits, phase_exponent_mod4,
+                    unpack_bits, xor_column)
 from .rng import OutcomeSource, as_outcome_source
-
-_ONE = np.uint64(1)
 
 _OBS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -57,10 +56,9 @@ class Tableau:
     def plus_state(cls, n: int) -> "Tableau":
         """|+...+>: stabilizers X_k, destabilizers Z_k."""
         t = cls(n)
-        for k in range(n):
-            w, m = k >> 6, _ONE << np.uint64(k & 63)
-            t.zs[k, w] |= m          # destabilizer Z_k
-            t.xs[n + k, w] |= m      # stabilizer X_k
+        k = np.arange(n)
+        flip_bits(t.zs, k, k)            # destabilizer Z_k
+        flip_bits(t.xs, n + k, k)        # stabilizer X_k
         return t
 
     def copy(self) -> "Tableau":
@@ -92,8 +90,7 @@ class Tableau:
 
     def _col_bits(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """(x, z) bits of column ``q`` for all 2n rows, as uint64 0/1."""
-        w, b = q >> 6, np.uint64(q & 63)
-        return (self.xs[:, w] >> b) & _ONE, (self.zs[:, w] >> b) & _ONE
+        return column(self.xs, q), column(self.zs, q)
 
     def _mul_rows(self, rows: np.ndarray, px: np.ndarray, pz: np.ndarray,
                   psign: int) -> None:
@@ -133,15 +130,14 @@ class Tableau:
 
         if gate in ("H", "S", "X", "Y", "Z"):
             q = targets[0]
-            w, b = q >> 6, np.uint64(q & 63)
             xcol, zcol = self._col_bits(q)
             if gate == "H":
                 self.signs ^= (xcol & zcol).astype(np.uint8)
-                self.xs[:, w] ^= (xcol ^ zcol) << b
-                self.zs[:, w] ^= (xcol ^ zcol) << b
+                xor_column(self.xs, q, xcol ^ zcol)
+                xor_column(self.zs, q, xcol ^ zcol)
             elif gate == "S":
                 self.signs ^= (xcol & zcol).astype(np.uint8)
-                self.zs[:, w] ^= xcol << b
+                xor_column(self.zs, q, xcol)
             elif gate == "X":
                 self.signs ^= zcol.astype(np.uint8)
             elif gate == "Z":
@@ -153,18 +149,16 @@ class Tableau:
             return self
 
         a, b = targets
-        wa, ba = a >> 6, np.uint64(a & 63)
-        wb, bb = b >> 6, np.uint64(b & 63)
         xa, za = self._col_bits(a)
         xb, zb = self._col_bits(b)
         if gate == "CNOT":
-            self.signs ^= (xa & zb & (xb ^ za ^ _ONE)).astype(np.uint8)
-            self.xs[:, wb] ^= xa << bb
-            self.zs[:, wa] ^= zb << ba
+            self.signs ^= (xa & zb & ~(xb ^ za)).astype(np.uint8)
+            xor_column(self.xs, b, xa)
+            xor_column(self.zs, a, zb)
         else:  # CZ
             self.signs ^= (xa & xb & (za ^ zb)).astype(np.uint8)
-            self.zs[:, wa] ^= xb << ba
-            self.zs[:, wb] ^= xa << bb
+            xor_column(self.zs, a, xb)
+            xor_column(self.zs, b, xa)
         if DEBUG_CHECKS:
             self.check_invariants()
         return self
@@ -200,7 +194,7 @@ class Tableau:
         stab_anti = np.flatnonzero(anti[self.n:])
         if stab_anti.size:
             p = self.n + int(stab_anti[0])
-            m = src.draw(qubit)
+            m = src.choose(qubit, 0.5)
             rows = np.flatnonzero(anti)
             rows = rows[(rows != p) & (rows != p - self.n)]
             self._mul_rows(rows, self.xs[p].copy(), self.zs[p].copy(),
@@ -219,7 +213,7 @@ class Tableau:
         m_det = self._member_sign_bit(anti, obs)
         if m_det is None:
             raise VerificationError("deterministic-outcome reconstruction failed")
-        return src.check_deterministic(qubit, m_det)
+        return src.choose(qubit, 1.0 - m_det)
 
     def outcome_is_random(self, basis: str, qubit: int) -> bool:
         """True when measuring the observable would give a fair coin."""
@@ -315,16 +309,9 @@ class Tableau:
 def graph_state_tableau(graph: Graph) -> Tableau:
     """Tableau of |G>: stabilizer row j is X_j Z_{N(j)}, destabilizer Z_j."""
     n = graph.n_vertices
-    t = Tableau(n)
-    for j in range(n):
-        w, m = j >> 6, _ONE << np.uint64(j & 63)
-        t.zs[j, w] |= m           # destabilizer Z_j
-        t.xs[n + j, w] |= m       # stabilizer X_j ...
-    for a, b in graph.edges:
-        wa, ma = a >> 6, _ONE << np.uint64(a & 63)
-        wb, mb = b >> 6, _ONE << np.uint64(b & 63)
-        t.zs[n + a, wb] |= mb     # ... dressed with Z on each neighbor
-        t.zs[n + b, wa] |= ma
+    t = Tableau.plus_state(n)
+    a, b = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    flip_bits(t.zs, np.concatenate([n + a, n + b]), np.concatenate([b, a]))
     return t
 
 
@@ -378,7 +365,9 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
     for q in keep:
         if not (0 <= q < t.n):
             raise ValidationError(f"qubit {q} out of range")
-    drop = [q for q in range(t.n) if q not in set(keep)]
+    dropped = np.ones(t.n, dtype=bool)
+    dropped[keep] = False
+    drop = np.flatnonzero(dropped).tolist()
 
     rows = [t.stabilizer_row(i) for i in range(t.n)]
     used = [False] * t.n
@@ -402,36 +391,29 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
                 if (int(bits[q >> 6]) >> (q & 63)) & 1:
                     rows[i] = rows[pivot] * r
 
-    kept_rows = []
-    for i, r in enumerate(rows):
-        if used[i]:
-            continue
-        for q in drop:
-            if ((int(r.x[q >> 6]) >> (q & 63)) & 1) or ((int(r.z[q >> 6]) >> (q & 63)) & 1):
-                raise VerificationError(
-                    "state is not a product across the requested cut")
-        kept_rows.append(r)
-    if len(kept_rows) != len(keep):
-        raise VerificationError(
-            f"expected {len(keep)} generators on the kept qubits, "
-            f"found {len(kept_rows)}")
-
-    nk = len(keep)
-    stabs = []
+    drop_mask = pack_bits(dropped)
+    kept_rows = [r for i, r in enumerate(rows) if not used[i]]
     for r in kept_rows:
-        xb = [(int(r.x[q >> 6]) >> (q & 63)) & 1 for q in keep]
-        zb = [(int(r.z[q >> 6]) >> (q & 63)) & 1 for q in keep]
-        stabs.append(PauliString.from_bits(xb, zb, r.sign))
+        if np.any((r.x | r.z) & drop_mask):
+            raise VerificationError("state is not a product across the requested cut")
+    nk = len(keep)
+    if len(kept_rows) != nk:
+        raise VerificationError(
+            f"expected {nk} generators on the kept qubits, found {len(kept_rows)}")
 
-    destabs = _complete_destabilizers(stabs, nk)
+    def gather(words):       # the kept columns, in keep order, of every kept row
+        words = np.array(words, dtype=np.uint64).reshape(nk, t.w)
+        return pack_bits(unpack_bits(words, t.n)[:, keep])
+
     out = Tableau(nk)
-    for i in range(nk):
-        out.xs[i] = destabs[i].x
-        out.zs[i] = destabs[i].z
-        out.signs[i] = 0
-        out.xs[nk + i] = stabs[i].x
-        out.zs[nk + i] = stabs[i].z
-        out.signs[nk + i] = stabs[i].sign_bit
+    out.xs[nk:] = gather([r.x for r in kept_rows])
+    out.zs[nk:] = gather([r.z for r in kept_rows])
+    out.signs[nk:] = [r.sign_bit for r in kept_rows]
+    destabs = _complete_destabilizers(
+        [out.stabilizer_row(i) for i in range(nk)], nk)
+    for i, d in enumerate(destabs):
+        out.xs[i] = d.x
+        out.zs[i] = d.z
     return out
 
 

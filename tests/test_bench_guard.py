@@ -4,28 +4,45 @@
 traced run checks ``tableau.measure.calls`` against the number of
 measurement commands in the inputs.  A renamed target or an extra
 ``measure_pauli`` call would break that run without failing any other test.
+Likewise a parser stricter than the inputs ``perfbench/workloads.py`` writes
+would fail benchmark jobs.
 """
 import importlib
 import importlib.util
+import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
-from conftest import random_graph
+import pytest
+
+from conftest import random_graph, schema_validator
+from mbqc.compiler import Circuit
 from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern, validate_pattern
+from mbqc.graphs import LatticeSpec
+from mbqc.statmech import SpinModel
+from mbqc.surface import HoleSpec, SliceLayout
 from mbqc.tableau import Tableau
 
 
-def _tracing_targets():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load_perfbench(name, monkeypatch):
+    """Load ``perfbench/<name>.py`` by path (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)     # dataclasses look it up
     spec.loader.exec_module(mod)
-    return mod.TARGETS
+    return mod
 
 
-def test_every_tracing_target_resolves():
+def _tracing_targets(monkeypatch):
+    return _load_perfbench("tracing", monkeypatch).TARGETS
+
+
+def test_every_tracing_target_resolves(monkeypatch):
     missing = []
-    for modname, attr, _ in _tracing_targets():
+    for modname, attr, _ in _tracing_targets(monkeypatch):
         owner = importlib.import_module(modname)
         *cls, name = attr.split(".")
         if cls:
@@ -64,3 +81,35 @@ def test_stabilizer_run_measures_once_per_command(rng, monkeypatch):
         assert len(rec.outcomes) == len(commands)
         assert calls["measure"] == n_commands
     assert calls["deterministic"] > 0
+
+
+# Input-file suffix -> (schema, library parser) for every benchmark input.
+_INPUT_KINDS = {
+    ".pattern.json": ("pattern.schema.json", MeasurementPattern.from_json_dict),
+    ".layout.json": ("layout.schema.json", SliceLayout.from_json_dict),
+    ".holes.json": ("holes.schema.json", HoleSpec.from_json_dict),
+    ".lattice.json": ("lattice.schema.json", LatticeSpec.from_json_dict),
+    ".circuit.json": ("circuit.schema.json", Circuit.from_json_dict),
+    ".model.json": ("spin_model.schema.json", SpinModel.from_json_dict),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 20261017])
+def test_benchmark_inputs_obey_the_schemas(seed, tmp_path, monkeypatch):
+    """Every input a benchmark workload writes validates against its schema
+    and parses, so stricter parsers never fail a benchmark job."""
+    workloads = _load_perfbench("workloads", monkeypatch)
+    checked = Counter()
+    for name in workloads.WORKLOADS:
+        workdir = tmp_path / f"{name}-{seed}"
+        workdir.mkdir()
+        workloads.build(name, seed, str(workdir))
+        for path in sorted(workdir.iterdir()):
+            suffix = "".join(path.suffixes[-2:])
+            assert suffix in _INPUT_KINDS, path.name
+            schema, parse = _INPUT_KINDS[suffix]
+            doc = json.loads(path.read_text())
+            schema_validator(schema).validate(doc)
+            parse(doc)
+            checked[suffix] += 1
+    assert set(checked) == set(_INPUT_KINDS)

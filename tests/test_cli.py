@@ -1,36 +1,14 @@
 import json
 import math
-import os
 
 import pytest
 
+from conftest import schema_validator
 from mbqc.cli import main
 from mbqc.engine import MeasurementCommand, MeasurementPattern
 from mbqc.graphs import Graph
 
-jsonschema = pytest.importorskip("jsonschema")
-
-SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
-
-
-def _schema(name):
-    with open(os.path.join(SCHEMA_DIR, name)) as fh:
-        return json.load(fh)
-
-
-def _validator(name):
-    schema = _schema(name)
-    registry = None
-    try:
-        from referencing import Registry, Resource
-        resources = []
-        for fname in os.listdir(SCHEMA_DIR):
-            s = _schema(fname)
-            resources.append((s["$id"], Resource.from_contents(s)))
-        registry = Registry().with_resources(resources)
-        return jsonschema.Draft202012Validator(schema, registry=registry)
-    except ImportError:
-        return jsonschema.Draft202012Validator(schema)
+pytest.importorskip("jsonschema")
 
 
 def run_cli(args, capsys):
@@ -186,6 +164,83 @@ def test_malformed_holes_json_is_a_validation_error(holes, files, capsys):
                             "--holes", str(path)], capsys)
 
 
+# A valid document of each input kind, its schema and the subcommand reading it.
+_DOCUMENTS = {
+    "graph": ({"n": 3, "edges": [[0, 1]]}, "graph.schema.json", ["graph-state", "--graph"]),
+    "lattice": ({"kind": "chain", "dims": [3]}, "lattice.schema.json",
+                ["graph-state", "--lattice"]),
+    "layout": ({"code_rows": 2, "code_cols": 2}, "layout.schema.json", ["slice", "--layout"]),
+    "circuit": ({"n": 2, "gates": [{"g": "Rz", "q": [1], "theta": 0.5}]},
+                "circuit.schema.json", ["compile", "--circuit"]),
+    "pattern": ({"resource": {"n": 2, "edges": [[0, 1]]}, "inputs": [0], "outputs": [1],
+                 "commands": [{"site": 0, "plane": "XY", "angle": 0.5, "s": [], "t": []}],
+                 "corrections": {"0": {"x_on": [1], "z_on": []}}},
+                "pattern.schema.json", ["run-pattern", "--pattern"]),
+    "model": ({"graph": {"n": 2, "edges": [[0, 1]]}, "J": {"0-1": 1.0},
+               "h": {"0": 0.0, "1": 0.5}, "beta": 1.0},
+              "spin_model.schema.json", ["partition", "--model"]),
+}
+# (document, path to a field, JSON type of the field)
+_TYPED_FIELDS = [
+    ("graph", ("n",), "integer"), ("graph", ("edges", 0, 1), "integer"),
+    ("lattice", ("dims", 0), "integer"),
+    ("layout", ("code_rows",), "integer"), ("layout", ("code_cols",), "integer"),
+    ("circuit", ("n",), "integer"), ("circuit", ("gates", 0, "q", 0), "integer"),
+    ("circuit", ("gates", 0, "theta"), "number"),
+    ("pattern", ("commands", 0, "site"), "integer"), ("pattern", ("outputs", 0), "integer"),
+    ("pattern", ("corrections", "0", "x_on", 0), "integer"),
+    ("pattern", ("commands", 0, "angle"), "number"),
+    ("model", ("beta",), "number"), ("model", ("J", "0-1"), "number"),
+    ("model", ("h", "1"), "number"),
+]
+
+
+_MISTYPED = {"string": str, "bool": lambda old: True, "fraction": lambda old: 2.5}
+
+
+def _with_field(doc_name, path, change):
+    """A copy of the valid document with the field at ``path`` replaced by
+    ``change(old value)``."""
+    doc = json.loads(json.dumps(_DOCUMENTS[doc_name][0]))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = change(owner[path[-1]])
+    return doc
+
+
+def _run_document(doc_name, doc, files):
+    path = files["tmp"] / f"{doc_name}.json"
+    path.write_text(json.dumps(doc))
+    return main(_DOCUMENTS[doc_name][2] + [str(path)])
+
+
+def _field_id(doc_name, path, *rest):
+    return "-".join([doc_name, ".".join(map(str, path)), *rest])
+
+
+@pytest.mark.parametrize("doc_name,path,bad", [
+    pytest.param(doc_name, path, bad, id=_field_id(doc_name, path, bad))
+    for doc_name, path, kind in _TYPED_FIELDS for bad in _MISTYPED
+    if bad != "fraction" or kind == "integer"])
+def test_mistyped_numbers_are_validation_errors(doc_name, path, bad, files, capsys):
+    doc = _with_field(doc_name, path, _MISTYPED[bad])
+    assert not schema_validator(_DOCUMENTS[doc_name][1]).is_valid(doc)
+    assert _run_document(doc_name, doc, files) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("doc_name,path", [
+    pytest.param(doc_name, path, id=_field_id(doc_name, path))
+    for doc_name, path, kind in _TYPED_FIELDS if kind == "integer"])
+def test_integral_floats_are_integers(doc_name, path, files, capsys):
+    doc = _with_field(doc_name, path, float)
+    schema_validator(_DOCUMENTS[doc_name][1]).validate(doc)
+    assert _run_document(doc_name, doc, files) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("method", ["overlap", "brute"])
 def test_partition_reports_log_z_when_z_overflows(method, files, capsys):
     path = files["tmp"] / "strong.json"
@@ -196,7 +251,7 @@ def test_partition_reports_log_z_when_z_overflows(method, files, capsys):
                        "--json-out", str(out)], capsys)
     assert code == 0
     report = json.loads(out.read_text())
-    _validator("run_report.schema.json").validate(report)
+    schema_validator("run_report.schema.json").validate(report)
     assert report["result"]["Z"] is None
     assert abs(report["result"]["log_Z"] - (1000 + math.log(2))) < 1e-9
 
@@ -225,7 +280,7 @@ def test_long_clifford_run_reports_log2_probability(files, capsys):
                        "--seed", "3", "--json-out", str(out)], capsys)
     assert code == 0
     report = json.loads(out.read_text())
-    _validator("run_report.schema.json").validate(report)
+    schema_validator("run_report.schema.json").validate(report)
     k = len(report["result"]["outcomes"])
     assert k == n - 1 > 1100
     assert report["result"]["log2_probability"] == -k
@@ -252,6 +307,17 @@ def test_exit_code_validation(files, capsys):
     bad.write_text("{not json")
     assert main(["partition", "--model", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("subcommand", ["run-pattern", "branches"])
+def test_invalid_pattern_is_reported_once(subcommand, files, capsys):
+    pat = files["tmp"] / "invalid.pattern.json"
+    pat.write_text(json.dumps({"resource": {"n": 2, "edges": [[0, 1]]}, "inputs": [],
+                               "outputs": [0], "commands": [{"site": 0, "plane": "XY"}]}))
+    assert main([subcommand, "--pattern", str(pat)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid pattern: command 0: output site 0 must not be measured")
 
 
 def test_exit_code_capacity(files, capsys):
@@ -317,7 +383,7 @@ def test_flags_a_subcommand_does_not_take_are_usage_errors(files, capsys):
         assert len(err.splitlines()) == 1 and "--" in err, argv
 
 def test_reports_validate_against_schema(files, capsys):
-    validator = _validator("run_report.schema.json")
+    validator = schema_validator("run_report.schema.json")
     out = files["tmp"] / "rep.json"
     code, _ = run_cli(["partition", "--model", str(files["model"]),
                        "--json-out", str(out)], capsys)
@@ -327,19 +393,19 @@ def test_reports_validate_against_schema(files, capsys):
     pat = files["tmp"] / "p.json"
     run_cli(["compile", "--circuit", str(files["circuit"]), "--out", str(pat)],
             capsys)
-    _validator("pattern.schema.json").validate(json.loads(pat.read_text()))
+    schema_validator("pattern.schema.json").validate(json.loads(pat.read_text()))
 
 
 def test_input_files_validate_against_schemas(files):
-    _validator("spin_model.schema.json").validate(
+    schema_validator("spin_model.schema.json").validate(
         json.loads(files["model"].read_text()))
-    _validator("circuit.schema.json").validate(
+    schema_validator("circuit.schema.json").validate(
         json.loads(files["circuit"].read_text()))
-    _validator("layout.schema.json").validate(
+    schema_validator("layout.schema.json").validate(
         json.loads(files["layout"].read_text()))
-    _validator("holes.schema.json").validate(
+    schema_validator("holes.schema.json").validate(
         json.loads(files["holes"].read_text()))
-    _validator("lattice.schema.json").validate(
+    schema_validator("lattice.schema.json").validate(
         json.loads(files["lattice"].read_text()))
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbqc.errors import ValidationError
-from mbqc.pauli import PauliString, symplectic_rank
+from mbqc.pauli import PauliString, n_words, pack_bits, symplectic_rank, unpack_bits
+from mbqc.statevector import StateVector, apply_pauli_string
 
 _SINGLE = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
            "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.array([[1, 0], [0, -1]])}
@@ -85,3 +86,45 @@ def test_wide_strings_cross_word_boundary():
     p = PauliString.from_text("+" + text)
     assert p.qubit(70) == "X" and p.qubit(0) == "I"
     assert p.to_text() == "+" + text
+
+
+def _pack_per_bit(bits, n):
+    """The packed layout written out one bit at a time: qubit k in word
+    k // 64, bit k % 64."""
+    words = np.zeros(n_words(n), dtype=np.uint64)
+    for k, b in enumerate(bits):
+        if b:
+            words[k // 64] |= np.uint64(1) << np.uint64(k % 64)
+    return words
+
+
+@given(st.sampled_from([1, 63, 64, 65, 130]), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pack_round_trip_matches_per_bit_layout(n, n_rows, data):
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                       min_size=n_rows, max_size=n_rows)), dtype=np.uint8)
+    packed = pack_bits(rows)
+    assert packed.dtype == np.uint64 and packed.shape == (n_rows, n_words(n))
+    for row, words in zip(rows, packed):
+        assert np.array_equal(words, _pack_per_bit(row, n))
+        assert np.array_equal(pack_bits(row), words)             # 1-D input
+        assert np.array_equal(unpack_bits(words, n), row)
+    assert np.array_equal(unpack_bits(packed, n), rows)
+
+
+def test_from_support_cancels_a_qubit_listed_twice():
+    p = PauliString.from_support(4, x_on=[0, 2, 2, 3, 3, 3], z_on=[1, 1, 3], sign=-1)
+    assert p.to_text() == "-XIIY"
+    with pytest.raises(ValidationError):
+        PauliString.from_support(4, x_on=[4])
+
+
+@given(pauli_texts, st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_apply_pauli_string_matches_dense_kronecker(text, negative, seed):
+    rng = np.random.default_rng(seed)
+    n = len(text)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    p = PauliString.from_text(("-" if negative else "+") + text)
+    got = apply_pauli_string(StateVector(n, amps), p).amps
+    assert np.allclose(got, dense(p) @ amps)

@@ -5,8 +5,8 @@ from conftest import random_graph
 from mbqc.errors import ContradictionError, ValidationError
 from mbqc.graphs import Graph
 from mbqc.pauli import PauliString
-from mbqc.rng import OutcomeSource
-from mbqc.statevector import (fidelity_up_to_phase, graph_state_vector,
+from mbqc.rng import PROB_TOL, OutcomeSource, make_rng
+from mbqc.statevector import (StateVector, fidelity_up_to_phase, graph_state_vector,
                               measure_angle, measure_probability)
 from mbqc.tableau import (Tableau, extract_subtableau, graph_state_tableau,
                           measure_pauli, tableau_to_statevector)
@@ -306,3 +306,65 @@ def test_deterministic_outcome_is_group_membership(rng):
             assert sign == (-1) ** m
             assert np.array_equal(scratch.xs, t.xs) and np.array_equal(scratch.signs, t.signs)
     assert n_det >= 40                          # every measured qubit, at least
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_graph_state_rows_are_x_times_neighbour_z(n, rng):
+    g = random_graph(n, rng, p=min(1.0, 3.0 / n))
+    t = graph_state_tableau(g)
+    adj = g.adjacency()
+    for j in range(n):
+        want = ["X" if k == j else "Z" if k in adj[j] else "I" for k in range(n)]
+        assert t.stabilizer_row(j) == PauliString.from_text("+" + "".join(want))
+        assert t.destabilizer_row(j) == PauliString.single(n, j, "Z")
+    t.check_invariants()
+
+
+class CountingSource(OutcomeSource):
+    """An OutcomeSource that counts its fair draws."""
+
+    def __init__(self, seed, forced=None):
+        super().__init__(make_rng(seed), forced)
+        self.draws = 0
+
+    def draw(self, key):
+        self.draws += 1
+        return super().draw(key)
+
+
+def test_choose_follows_one_rule():
+    src = CountingSource(3, forced={5: 1})
+    assert src.choose(1, 1.0 - PROB_TOL / 2) == 0 and src.choose(1, PROB_TOL / 2) == 1
+    assert src.draws == 0                                    # certain: no draw
+    assert src.choose(1, 0.3) in (0, 1) and src.draws == 1   # otherwise one draw
+    assert src.choose(5, 0.5) == 1 and src.draws == 1        # a forced bit wins
+    with pytest.raises(ContradictionError, match="outcome 1 at site 5 has probability"):
+        src.choose(5, 1.0)
+
+
+def _zero_state(backend):
+    if backend == "sv":
+        return StateVector.computational(1, 0)
+    t = Tableau.plus_state(1)
+    t.apply_clifford("H", [0])
+    return t
+
+
+def _measure(backend, state, basis, src):
+    if backend == "sv":
+        plane, theta = BASIS_TO_ANGLE[basis]
+        return measure_angle(state, 0, plane, theta, src)[0]
+    return state.copy().measure_pauli(basis, 0, src)
+
+
+@pytest.mark.parametrize("backend", ["sv", "stab"])
+def test_choose_on_both_backends(backend):
+    zero = _zero_state(backend)
+    src = CountingSource(7)
+    assert _measure(backend, zero, "Z", src) == 0 and src.draws == 0
+    outcomes = [_measure(backend, zero, "X", src) for _ in range(40)]
+    assert src.draws == 40 and set(outcomes) == {0, 1}
+    forced = CountingSource(7, forced={0: 1})
+    assert _measure(backend, zero, "X", forced) == 1 and forced.draws == 0
+    with pytest.raises(ContradictionError, match="outcome 1 at site 0 has probability"):
+        _measure(backend, zero, "Z", forced)
