@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, json_int, json_number
+from .errors import CapacityError, ValidationError, json_int, json_number, json_object
 from .graphs import Graph
 from .rng import PROB_TOL, OutcomeSource, as_outcome_source
 from .statevector import (DEFAULT_CAP, StateVector, _project, apply_cz, apply_pauli,
@@ -153,16 +153,22 @@ class MeasurementPattern:
             return [json_int(v, what) for v in values]
 
         try:
+            d = json_object(d, ("resource", "inputs", "outputs", "commands", "corrections"),
+                            "pattern JSON")
             resource = Graph.from_json_dict(d["resource"])
             commands = [MeasurementCommand(json_int(c["site"], "command site"),
                                            c.get("plane", "XY"),
                                            json_number(c.get("angle", 0.0), "command angle"),
                                            frozenset(sites(c.get("s", ()), "s dependency")),
                                            frozenset(sites(c.get("t", ()), "t dependency")))
-                        for c in d.get("commands", ())]
+                        for c in (json_object(c, ("site", "plane", "angle", "s", "t"),
+                                              "pattern command")
+                                  for c in d.get("commands", ()))]
+            rules = {site: json_object(rule, ("x_on", "z_on"), "correction rule")
+                     for site, rule in d.get("corrections", {}).items()}
             corrections = {int(site): {k: sites(rule.get(k, ()), "correction target")
                                        for k in ("x_on", "z_on")}
-                           for site, rule in d.get("corrections", {}).items()}
+                           for site, rule in rules.items()}
             return cls(resource, sites(d.get("inputs", ()), "input site"),
                        sites(d.get("outputs", ()), "output site"), commands, corrections)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

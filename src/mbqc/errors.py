@@ -2,7 +2,8 @@
 
 Each class maps to one CLI exit code, so failures stay distinguishable
 end to end: validation -> 2, capacity -> 3, verification -> 4.  Input parsers
-type JSON fields as ``docs/schemas`` does, through ``json_int``/``json_number``.
+type JSON fields as ``docs/schemas`` does, through ``json_int``/``json_number``,
+and reject keys the schemas do not allow through ``json_object``.
 """
 
 
@@ -39,3 +40,13 @@ def json_number(value, what: str) -> float:
     if type(value) in (int, float):
         return float(value)
     raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def json_object(value, keys, what: str) -> dict:
+    """A JSON object with no key outside ``keys`` (``additionalProperties: false``)."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {value!r}")
+    unknown = sorted(str(k) for k in value if k not in keys)
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys {unknown}")
+    return value

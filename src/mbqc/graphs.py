@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_int, json_object
 from .rng import make_rng
 
 _LATTICE_KINDS = ("chain", "star", "grid2d", "grid3d")
@@ -97,6 +97,7 @@ class Graph:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Graph":
         try:
+            d = json_object(d, ("n", "edges"), "graph JSON")
             n = json_int(d["n"], "graph n")
             return cls(n, [(json_int(a, "edge vertex"), json_int(b, "edge vertex"))
                            for a, b in d.get("edges", [])])
@@ -144,6 +145,7 @@ class LatticeSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "LatticeSpec":
         try:
+            d = json_object(d, ("kind", "dims"), "lattice JSON")
             return cls(d["kind"], [json_int(k, "lattice dims entry") for k in d["dims"]])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad lattice JSON: {exc}") from exc

@@ -8,7 +8,8 @@ Only real signs (+1/-1) are exposed; products that would leave a stray
 handled here.
 
 Bits are packed 64 per machine word, so row products and commutation
-checks are word-wise XOR/AND plus a popcount.
+checks are word-wise XOR/AND plus a popcount.  One row-vectorised GF(2)
+eliminator, ``_eliminate``, serves output extraction and ``symplectic_rank``.
 """
 from __future__ import annotations
 
@@ -193,36 +194,37 @@ class PauliString:
         return f"PauliString({self.to_text()!r})"
 
 
+def _eliminate(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
+               qubits: Iterable[int]) -> np.ndarray:
+    """Gaussian elimination of the x, then the z, column of each of ``qubits``.
+
+    Works in place on packed rows ``xs``/``zs`` and their sign bits
+    ``signs`` (None to ignore signs).  For each column, the first row not
+    yet a pivot that has the bit becomes the pivot and is left-multiplied
+    into every other non-pivot row with the bit, all at once.  Returns the
+    mask of pivot rows; the other rows end up free of ``qubits``.
+    """
+    used = np.zeros(len(xs), dtype=bool)
+    for q in qubits:
+        for words in (xs, zs):
+            rows = np.flatnonzero((column(words, q) != 0) & ~used)
+            if rows.size == 0:
+                continue
+            p, rows = rows[0], rows[1:]
+            used[p] = True
+            if signs is not None:
+                phase = (phase_exponent_mod4(xs[p], zs[p], xs[rows], zs[rows])
+                         + 2 * (int(signs[p]) + signs[rows].astype(np.int64))) % 4
+                if np.any(phase % 2):
+                    raise VerificationError("product has imaginary sign")
+                signs[rows] = phase // 2
+            xs[rows] ^= xs[p]
+            zs[rows] ^= zs[p]
+    return used
+
+
 def symplectic_rank(paulis: Sequence[PauliString]) -> int:
     """Rank over GF(2) of the (x|z) rows, ignoring signs."""
-    if not paulis:
-        return 0
-    n = paulis[0].n
-    rows = [(p.x.copy(), p.z.copy()) for p in paulis]
-    rank = 0
-    used = [False] * len(rows)
-    for col in range(2 * n):
-        is_x = col < n
-        q = col if is_x else col - n
-        w, m = q >> 6, np.uint64(1) << np.uint64(q & 63)
-        pivot = None
-        for i, (xr, zr) in enumerate(rows):
-            if used[i]:
-                continue
-            bit = (xr[w] if is_x else zr[w]) & m
-            if bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        used[pivot] = True
-        rank += 1
-        px, pz = rows[pivot]
-        for i, (xr, zr) in enumerate(rows):
-            if i == pivot or used[i]:
-                continue
-            bit = (xr[w] if is_x else zr[w]) & m
-            if bit:
-                xr ^= px
-                zr ^= pz
-    return rank
+    xs = np.array([p.x for p in paulis])
+    zs = np.array([p.z for p in paulis])
+    return int(_eliminate(xs, zs, None, range(paulis[0].n if paulis else 0)).sum())

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .errors import ContradictionError
+from .errors import ContradictionError, ValidationError
 
 # An outcome whose probability is below this is treated as impossible.
 PROB_TOL = 1e-12
@@ -76,6 +76,8 @@ def as_outcome_source(randomness: Union[int, OutcomeSource, None],
                       forced: Optional[Mapping[int, int]] = None) -> OutcomeSource:
     """Coerce a seed / source / None into an OutcomeSource."""
     if isinstance(randomness, OutcomeSource):
+        if forced is not None:      # a source carries its own forced outcomes
+            raise ValidationError("forced outcomes go inside the OutcomeSource, not beside it")
         return randomness
     if randomness is None:
         return OutcomeSource(rng=None, forced=forced)

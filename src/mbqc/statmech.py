@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, VerificationError, json_number
+from .errors import CapacityError, ValidationError, VerificationError, json_number, json_object
 from .graphs import Graph
 from .statevector import DEFAULT_CAP, ProductState, StateVector, apply_cz, overlap
 
@@ -95,6 +95,7 @@ class SpinModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpinModel":
         try:
+            d = json_object(d, ("graph", "J", "h", "beta", "q"), "spin model JSON")
             graph = Graph.from_json_dict(d["graph"])
             couplings = {}
             for key, j in d.get("J", {}).items():

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_int, json_object
 from .graphs import Graph
 from .pauli import PauliString, symplectic_rank
 from .rng import OutcomeSource, as_outcome_source
@@ -162,6 +162,7 @@ class SliceLayout:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SliceLayout":
         try:
+            d = json_object(d, ("code_rows", "code_cols"), "layout JSON")
             return cls(json_int(d["code_rows"], "code_rows"),
                        json_int(d["code_cols"], "code_cols"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -201,11 +202,8 @@ class HoleSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HoleSpec":
-        unknown = sorted(set(d) - {"electric", "magnetic"}) if isinstance(d, dict) else []
-        if unknown:
-            raise ValidationError(f"bad holes JSON: unknown keys {unknown}")
-        fields = [d.get(k, []) if isinstance(d, dict) else None
-                  for k in ("electric", "magnetic")]
+        json_object(d, ("electric", "magnetic"), "holes JSON")
+        fields = [d.get(k, []) for k in ("electric", "magnetic")]
         if not all(isinstance(f, list) and all(isinstance(p, list) and len(p) == 2 for p in f)
                    for f in fields):
             raise ValidationError("bad holes JSON: electric and magnetic must be "

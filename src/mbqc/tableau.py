@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
-from .pauli import (PauliString, column, flip_bits, n_words, pack_bits, phase_exponent_mod4,
-                    unpack_bits, xor_column)
+from .pauli import (PauliString, _eliminate, column, flip_bits, n_words, pack_bits,
+                    phase_exponent_mod4, unpack_bits, xor_column)
 from .rng import OutcomeSource, as_outcome_source
 
 _OBS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -182,8 +182,8 @@ class Tableau:
 
         Deterministic outcomes are detected before any randomness is drawn,
         so a fixed seed yields the same trace whatever the branch structure.
-        ``forced`` (or a forced entry in an OutcomeSource keyed by qubit)
-        pins the outcome of a balanced measurement and raises
+        ``forced`` (or instead a forced entry in an OutcomeSource keyed by
+        qubit) pins the outcome of a balanced measurement and raises
         ContradictionError against a conflicting deterministic outcome.
         """
         anti = self._anticommuting(basis, qubit)
@@ -355,8 +355,10 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
     """Tableau of the state restricted to ``keep`` (in the given order).
 
     Requires the state to be a product across the cut (true after the
-    discarded qubits have been measured).  Stabilizer generators supported
-    only on ``keep`` are found by sign-tracked Gaussian elimination; fresh
+    discarded qubits have been measured).  The stabilizer rows go through
+    the packed, sign-tracked Gaussian elimination of ``pauli._eliminate``
+    on the discarded qubits, in ascending order, x column before z column;
+    the rows left over are the generators supported on ``keep``.  Fresh
     destabilizers are completed symplectically.
     """
     keep = [int(q) for q in keep]
@@ -367,50 +369,22 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
             raise ValidationError(f"qubit {q} out of range")
     dropped = np.ones(t.n, dtype=bool)
     dropped[keep] = False
-    drop = np.flatnonzero(dropped).tolist()
 
-    rows = [t.stabilizer_row(i) for i in range(t.n)]
-    used = [False] * t.n
-    for q in drop:
-        for which in ("x", "z"):
-            pivot = None
-            for i, r in enumerate(rows):
-                if used[i]:
-                    continue
-                bits = r.x if which == "x" else r.z
-                if (int(bits[q >> 6]) >> (q & 63)) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            used[pivot] = True
-            for i, r in enumerate(rows):
-                if i == pivot or used[i]:
-                    continue
-                bits = r.x if which == "x" else r.z
-                if (int(bits[q >> 6]) >> (q & 63)) & 1:
-                    rows[i] = rows[pivot] * r
-
-    drop_mask = pack_bits(dropped)
-    kept_rows = [r for i, r in enumerate(rows) if not used[i]]
-    for r in kept_rows:
-        if np.any((r.x | r.z) & drop_mask):
-            raise VerificationError("state is not a product across the requested cut")
+    xs, zs, signs = t.xs[t.n:].copy(), t.zs[t.n:].copy(), t.signs[t.n:].copy()
+    kept = ~_eliminate(xs, zs, signs, np.flatnonzero(dropped))
+    xs, zs, signs = xs[kept], zs[kept], signs[kept]
+    if np.any((xs | zs) & pack_bits(dropped)):
+        raise VerificationError("state is not a product across the requested cut")
     nk = len(keep)
-    if len(kept_rows) != nk:
+    if len(signs) != nk:
         raise VerificationError(
-            f"expected {nk} generators on the kept qubits, found {len(kept_rows)}")
-
-    def gather(words):       # the kept columns, in keep order, of every kept row
-        words = np.array(words, dtype=np.uint64).reshape(nk, t.w)
-        return pack_bits(unpack_bits(words, t.n)[:, keep])
+            f"expected {nk} generators on the kept qubits, found {len(signs)}")
 
     out = Tableau(nk)
-    out.xs[nk:] = gather([r.x for r in kept_rows])
-    out.zs[nk:] = gather([r.z for r in kept_rows])
-    out.signs[nk:] = [r.sign_bit for r in kept_rows]
-    destabs = _complete_destabilizers(
-        [out.stabilizer_row(i) for i in range(nk)], nk)
+    out.xs[nk:] = pack_bits(unpack_bits(xs, t.n)[:, keep])
+    out.zs[nk:] = pack_bits(unpack_bits(zs, t.n)[:, keep])
+    out.signs[nk:] = signs
+    destabs = _complete_destabilizers(out.stabilizer_rows(), nk)
     for i, d in enumerate(destabs):
         out.xs[i] = d.x
         out.zs[i] = d.z

@@ -241,6 +241,33 @@ def test_integral_floats_are_integers(doc_name, path, files, capsys):
     capsys.readouterr()
 
 
+# (document, path to a strict object in it, a key of that object, a misspelling)
+_MISSPELT_KEYS = [
+    ("graph", (), "edges", "egdes"), ("lattice", (), "dims", "dimz"),
+    ("layout", (), "code_cols", "code_colz"), ("circuit", (), "gates", "gatse"),
+    ("circuit", ("gates", 0), "theta", "thetaa"), ("pattern", (), "outputs", "outptus"),
+    ("pattern", ("commands", 0), "angle", "angel"),
+    ("pattern", ("corrections", "0"), "x_on", "x_no"), ("model", (), "beta", "bta"),
+]
+
+
+@pytest.mark.parametrize("doc_name,path,key,typo", [
+    pytest.param(*case, id=_field_id(case[0], case[1] + (case[3],)))
+    for case in _MISSPELT_KEYS])
+def test_misspelt_keys_are_validation_errors(doc_name, path, key, typo, files, capsys):
+    # the valid document plus one unknown key: a misspelt copy of a real one
+    doc = json.loads(json.dumps(_DOCUMENTS[doc_name][0]))
+    owner = doc
+    for step in path:
+        owner = owner[step]
+    owner[typo] = owner[key]
+    assert not schema_validator(_DOCUMENTS[doc_name][1]).is_valid(doc)
+    assert _run_document(doc_name, doc, files) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert typo in err
+
+
 @pytest.mark.parametrize("method", ["overlap", "brute"])
 def test_partition_reports_log_z_when_z_overflows(method, files, capsys):
     path = files["tmp"] / "strong.json"

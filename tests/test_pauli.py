@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbqc
 from mbqc.errors import ValidationError
 from mbqc.pauli import PauliString, n_words, pack_bits, symplectic_rank, unpack_bits
 from mbqc.statevector import StateVector, apply_pauli_string
@@ -72,6 +75,38 @@ def test_symplectic_rank():
     ops = [PauliString.from_text(t) for t in ("+XZ", "+ZX")]
     assert symplectic_rank(ops) == 2
     assert symplectic_rank([]) == 0
+
+
+def _int_rank(rows):
+    """GF(2) rank of rows given as Python integers."""
+    basis = []                  # distinct leading bits, highest first
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis = sorted(basis + [r], reverse=True)
+    return len(basis)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_symplectic_rank_matches_integer_rank(n):
+    rng = np.random.default_rng(n)
+    for k in (1, 5, n + 7):         # n + 7 independent rows: the x half alone falls short
+        bits = rng.integers(0, 2, size=(k, 2 * n))
+        # dependent rows: XORs of random subsets of the independent draws
+        mix = rng.integers(0, 2, size=(k, k)) @ bits % 2
+        bits = rng.permutation(np.concatenate([bits, mix]))
+        ops = [PauliString.from_bits(b[:n], b[n:]) for b in bits]
+        ints = [int("".join(map(str, b)), 2) for b in bits]
+        assert symplectic_rank(ops) == _int_rank(ints)
+
+
+def test_only_pauli_touches_the_packed_layout():
+    src = Path(mbqc.__file__).parent
+    uses = [f"{path.name}: {token}" for path in sorted(src.glob("*.py"))
+            if path.name != "pauli.py"
+            for token in (">> 6", "& 63", "WORD_BITS") if token in path.read_text()]
+    assert not uses
 
 
 def test_identity_and_equality():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern
 from mbqc.errors import ContradictionError, ValidationError
 from mbqc.graphs import Graph
 from mbqc.pauli import PauliString
@@ -224,6 +225,58 @@ def test_extract_subtableau_rejects_entangled_cut():
     t = graph_state_tableau(Graph(2, [(0, 1)]))
     with pytest.raises(VerificationError):
         extract_subtableau(t, [0])
+
+
+def _extract_per_bit(t, keep):
+    """Reference extraction, one bit and one PauliString product at a time:
+    eliminate each dropped qubit (ascending, x column before z column) with
+    the first unused row as pivot; the unused rows are the kept generators.
+    Returns their text on ``keep``, in ``keep`` order."""
+    rows = t.stabilizer_rows()
+    used = [False] * t.n
+    for q in sorted(set(range(t.n)) - set(keep)):
+        for which in ("x", "z"):
+            hit = [i for i, r in enumerate(rows)
+                   if not used[i] and (int(getattr(r, which)[q // 64]) >> (q % 64)) & 1]
+            if hit:
+                used[hit[0]] = True
+                for i in hit[1:]:
+                    rows[i] = rows[hit[0]] * rows[i]
+    return [("-" if r.sign_bit else "+") + "".join(r.qubit(k) for k in keep)
+            for r, u in zip(rows, used) if not u]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_extract_subtableau_matches_per_bit_elimination(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        t = graph_state_tableau(random_graph(n, rng, p=4 / n))
+        keep = [int(q) for q in rng.choice(n, size=4, replace=False)]
+        src = OutcomeSource(rng=rng)
+        for q in rng.permutation(n):
+            if q not in keep:
+                t.measure_pauli(str(rng.choice(["X", "Y", "Z"])), int(q), src)
+        for i, j in rng.integers(0, n, size=(n, 2)):    # other generators, same group
+            if i != j:
+                row = t.stabilizer_row(j) * t.stabilizer_row(i)
+                t.xs[n + i], t.zs[n + i], t.signs[n + i] = row.x, row.z, row.sign_bit
+        sub = extract_subtableau(t, keep)
+        sub.check_invariants()
+        assert sub.dump().split("\n") == _extract_per_bit(t, keep)
+
+
+def test_forced_with_an_outcome_source_is_rejected():
+    src = OutcomeSource.from_seed(0)
+    with pytest.raises(ValidationError, match="forced"):
+        Tableau.plus_state(1).measure_pauli("Z", 0, src, forced=1)
+    with pytest.raises(ValidationError, match="forced"):
+        measure_angle(StateVector.computational(1, 0), 0, "XY", 0.0, src, forced=1)
+    wire = MeasurementPattern(Graph(2, [(0, 1)]), [0], [1],
+                              [MeasurementCommand(0, "XY", 0.0)], {})
+    with pytest.raises(ValidationError, match="forced"):
+        run_pattern(wire, randomness=src, forced={0: 1})
+    assert run_pattern(wire, randomness=OutcomeSource.from_seed(0, forced={0: 1})
+                       ).outcomes == {0: 1}
 
 
 def test_z_removal_rule_on_tableau(rng):
