@@ -65,18 +65,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _parse_forced(text: str | None) -> dict[int, int]:
     forced: dict[int, int] = {}
-    if not text:
-        return forced
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, (part.strip() for part in (text or "").split(","))):
+        site, _, bit = item.partition("=")
         try:
-            site, bit = item.split("=")
-            forced[int(site)] = int(bit) & 1
+            forced[int(site)] = ("0", "1").index(bit.strip())
         except ValueError as exc:
             raise ValidationError(
-                f"bad --force-outcomes entry {item!r} (want site=bit)") from exc
+                f"bad --force-outcomes entry {item!r} (want site=bit, bit 0 or 1)") from exc
     return forced
 
 
@@ -89,12 +84,11 @@ def _report(args, result: dict) -> dict:
 
 
 def _emit(args, result: dict, wall_ms: float) -> None:
-    report = _report(args, result)
+    """Serialise once; stdout adds ``wall_time_ms``, which sorts last, before the ``}``."""
+    text = json.dumps(_report(args, result), sort_keys=True, indent=2)
     if args.json_out:
-        _atomic_write(args.json_out,
-                      json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(json.dumps({**report, "wall_time_ms": round(wall_ms, 3)},
-                     sort_keys=True, indent=2))
+        _atomic_write(args.json_out, text + "\n")
+    print(f'{text[:-2]},\n  "wall_time_ms": {json.dumps(round(wall_ms, 3))}\n}}')
 
 
 def _resolve_cap(args) -> int:
@@ -130,9 +124,12 @@ def _cmd_graph_state(args) -> dict:
 
 def _cmd_run_pattern(args) -> dict:
     pattern = MeasurementPattern.from_json_dict(_load_json(args.pattern))
+    forced = _parse_forced(args.force_outcomes)
+    unmeasured = sorted(set(forced) - set(pattern.measured_sites))
+    if unmeasured:
+        raise ValidationError(f"--force-outcomes names sites no command measures: {unmeasured}")
     rec = run_pattern(pattern, backend=_backend_name(args.backend),
-                      randomness=args.seed, forced=_parse_forced(args.force_outcomes),
-                      cap=_resolve_cap(args))
+                      randomness=args.seed, forced=forced, cap=_resolve_cap(args))
     out_state = rec.output_state
     state_repr = (out_state.dump().split("\n") if isinstance(out_state, Tableau)
                   else {"n": out_state.n})
@@ -208,12 +205,10 @@ def _cmd_slice(args) -> dict:
                  "n_code_qubits": layout.n_code,
                  "outcomes": {str(k): v for k, v in sorted(result.outcomes.items())},
                  "imposed_rank": imposed_rank(layout, plan)}
-    if holes.electric:
-        zb, xb = logical_operators(layout, holes, "electric")
-        out["electric_logicals"] = {"Z": zb.to_text(), "X": xb.to_text()}
-    if holes.magnetic:
-        zb, xb = logical_operators(layout, holes, "magnetic")
-        out["magnetic_logicals"] = {"Z": zb.to_text(), "X": xb.to_text()}
+    for kind in ("electric", "magnetic"):
+        if getattr(holes, kind):
+            zb, xb = logical_operators(layout, holes, kind)
+            out[f"{kind}_logicals"] = {"Z": zb.to_text(), "X": xb.to_text()}
     if args.verify:
         report = verify_projection(result)
         out["verification"] = report

@@ -41,7 +41,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, json_int, json_number, json_object
+from .errors import (CapacityError, ValidationError, json_array, json_int, json_number,
+                     json_object)
 from .graphs import Graph
 from .engine import MeasurementCommand, MeasurementPattern
 from .statevector import (DEFAULT_CAP, StateVector, apply_cz, apply_local)
@@ -98,10 +99,11 @@ class Circuit:
     def from_json_dict(cls, d: dict) -> "Circuit":
         try:
             d = json_object(d, ("n", "gates"), "circuit JSON")
-            gates = [GateOp(g["g"], tuple(json_int(q, "gate qubit") for q in g["q"]),
+            gates = [GateOp(g["g"], tuple(json_int(q, "gate qubit")
+                                          for q in json_array(g["q"], "gate qubits")),
                             json_number(g.get("theta", 0.0), "gate theta"))
-                     for g in (json_object(g, ("g", "q", "theta"), "circuit gate")
-                               for g in d.get("gates", ()))]
+                     for g in (json_object(g, ("g", "q"), "circuit gate", ("theta",))
+                               for g in json_array(d["gates"], "circuit gates"))]
             return cls(json_int(d["n"], "circuit n"), gates)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad circuit JSON: {exc}") from exc

@@ -29,7 +29,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, json_int, json_number, json_object
+from .errors import (CapacityError, ValidationError, json_array, json_index, json_int,
+                     json_number, json_object)
 from .graphs import Graph
 from .rng import PROB_TOL, OutcomeSource, as_outcome_source
 from .statevector import (DEFAULT_CAP, StateVector, _project, apply_cz, apply_pauli,
@@ -150,27 +151,26 @@ class MeasurementPattern:
     @classmethod
     def from_json_dict(cls, d: dict) -> "MeasurementPattern":
         def sites(values, what):
-            return [json_int(v, what) for v in values]
+            return [json_int(v, what) for v in json_array(values, what)]
 
         try:
-            d = json_object(d, ("resource", "inputs", "outputs", "commands", "corrections"),
-                            "pattern JSON")
+            d = json_object(d, ("resource", "inputs", "outputs", "commands"), "pattern JSON",
+                            ("corrections",))
             resource = Graph.from_json_dict(d["resource"])
-            commands = [MeasurementCommand(json_int(c["site"], "command site"),
-                                           c.get("plane", "XY"),
+            commands = [MeasurementCommand(json_int(c["site"], "command site"), c["plane"],
                                            json_number(c.get("angle", 0.0), "command angle"),
-                                           frozenset(sites(c.get("s", ()), "s dependency")),
-                                           frozenset(sites(c.get("t", ()), "t dependency")))
-                        for c in (json_object(c, ("site", "plane", "angle", "s", "t"),
-                                              "pattern command")
-                                  for c in d.get("commands", ()))]
-            rules = {site: json_object(rule, ("x_on", "z_on"), "correction rule")
+                                           frozenset(sites(c.get("s", []), "s dependency")),
+                                           frozenset(sites(c.get("t", []), "t dependency")))
+                        for c in (json_object(c, ("site", "plane"), "pattern command",
+                                              ("angle", "s", "t"))
+                                  for c in json_array(d["commands"], "pattern commands"))]
+            rules = {site: json_object(rule, (), "correction rule", ("x_on", "z_on"))
                      for site, rule in d.get("corrections", {}).items()}
-            corrections = {int(site): {k: sites(rule.get(k, ()), "correction target")
-                                       for k in ("x_on", "z_on")}
+            corrections = {json_index(site, "correction site"):
+                           {k: sites(rule.get(k, []), "correction target") for k in ("x_on", "z_on")}
                            for site, rule in rules.items()}
-            return cls(resource, sites(d.get("inputs", ()), "input site"),
-                       sites(d.get("outputs", ()), "output site"), commands, corrections)
+            return cls(resource, sites(d["inputs"], "input site"),
+                       sites(d["outputs"], "output site"), commands, corrections)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad pattern JSON: {exc}") from exc
 
@@ -230,13 +230,8 @@ def _require_valid(p: MeasurementPattern) -> None:
 
 def _stabilizer_eligible(p: MeasurementPattern) -> bool:
     """True when every possible effective angle is a multiple of pi/2."""
-    for c in p.commands:
-        if c.plane == "Z":
-            continue
-        k = c.angle / HALF_PI
-        if abs(k - round(k)) > 1e-12:
-            return False
-    return True
+    return all(c.plane == "Z" or abs(c.angle / HALF_PI - round(c.angle / HALF_PI)) <= 1e-12
+               for c in p.commands)
 
 
 def _prepare_statevector(p: MeasurementPattern,

@@ -2,8 +2,9 @@
 
 Each class maps to one CLI exit code, so failures stay distinguishable
 end to end: validation -> 2, capacity -> 3, verification -> 4.  Input parsers
-type JSON fields as ``docs/schemas`` does, through ``json_int``/``json_number``,
-and reject keys the schemas do not allow through ``json_object``.
+type JSON fields as ``docs/schemas`` does, through ``json_int``/``json_number``/
+``json_array``/``json_index``, and hold objects to the schemas' required and
+allowed keys through ``json_object``.
 """
 
 
@@ -42,11 +43,29 @@ def json_number(value, what: str) -> float:
     raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
-def json_object(value, keys, what: str) -> dict:
-    """A JSON object with no key outside ``keys`` (``additionalProperties: false``)."""
+def json_array(value, what: str) -> list:
+    """A JSON Schema ``array``: a list, never a string or an object."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def json_index(key: str, what: str) -> int:
+    """An object key matching the schemas' ``^[0-9]+$``, as an int."""
+    if not (key.isascii() and key.isdigit()):
+        raise ValidationError(f"{what} must be a string of digits, got {key!r}")
+    return int(key)
+
+
+def json_object(value, required, what: str, optional=()) -> dict:
+    """A JSON object with every key of ``required`` and no key outside
+    ``required`` and ``optional`` (``additionalProperties: false``)."""
     if not isinstance(value, dict):
         raise ValidationError(f"{what} must be an object, got {value!r}")
-    unknown = sorted(str(k) for k in value if k not in keys)
+    unknown = sorted(str(k) for k in value if k not in required and k not in optional)
     if unknown:
         raise ValidationError(f"{what} has unknown keys {unknown}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ValidationError(f"{what} lacks required keys {missing}")
     return value

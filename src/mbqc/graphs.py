@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, json_int, json_object
+from .errors import ValidationError, json_array, json_int, json_object
 from .rng import make_rng
 
 _LATTICE_KINDS = ("chain", "star", "grid2d", "grid3d")
@@ -100,7 +100,7 @@ class Graph:
             d = json_object(d, ("n", "edges"), "graph JSON")
             n = json_int(d["n"], "graph n")
             return cls(n, [(json_int(a, "edge vertex"), json_int(b, "edge vertex"))
-                           for a, b in d.get("edges", [])])
+                           for a, b in json_array(d["edges"], "graph edges")])
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad graph JSON: {exc}") from exc
 
@@ -146,7 +146,8 @@ class LatticeSpec:
     def from_json_dict(cls, d: dict) -> "LatticeSpec":
         try:
             d = json_object(d, ("kind", "dims"), "lattice JSON")
-            return cls(d["kind"], [json_int(k, "lattice dims entry") for k in d["dims"]])
+            return cls(d["kind"], [json_int(k, "lattice dims entry")
+                                   for k in json_array(d["dims"], "lattice dims")])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad lattice JSON: {exc}") from exc
 

@@ -8,8 +8,11 @@ Only real signs (+1/-1) are exposed; products that would leave a stray
 handled here.
 
 Bits are packed 64 per machine word, so row products and commutation
-checks are word-wise XOR/AND plus a popcount.  One row-vectorised GF(2)
-eliminator, ``_eliminate``, serves output extraction and ``symplectic_rank``.
+checks are word-wise XOR/AND plus a popcount.  Every sign-tracked row
+product goes through one kernel, ``_mul_rows``, which touches only the
+pivot's word span, with its phase from ``phase_exponent_mod4`` (two
+popcounts); the GF(2) eliminator ``_eliminate`` (output extraction,
+``symplectic_rank``) and tableau measurement both call it.
 """
 from __future__ import annotations
 
@@ -72,17 +75,40 @@ def phase_exponent_mod4(x1: np.ndarray, z1: np.ndarray,
                         x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """i-exponent (mod 4) of the qubit-wise product P1*P2, word-parallel.
 
-    Counts qubits contributing +i (cyclic pairs XY, YZ, ZX) minus qubits
-    contributing -i (the anticyclic pairs).  The packed words lie along the
-    last axis, which is reduced: stacked rows (broadcasting as numpy does)
-    give one exponent per row, and single rows a 0-d integer array.
+    A qubit contributes +i or -i exactly where the factors anticommute
+    (``a``); it is -i where ``x1^x2^z1^z2^(x1&z2)`` is also set, so the
+    exponent is popcount(a) + 2*popcount(a & that) mod 4.  The packed words
+    lie along the last axis, which is reduced: stacked rows (broadcasting as
+    numpy does) give one exponent per row, and single rows a 0-d integer array.
     """
-    plus = (x1 & ~z1 & x2 & z2) | (x1 & z1 & ~x2 & z2) | (~x1 & z1 & x2 & ~z2)
-    anti = (x1 & z2) ^ (z1 & x2)
-    minus = anti & ~plus
-    cnt = np.bitwise_count(plus).sum(axis=-1, dtype=np.int64)
-    cnt -= np.bitwise_count(minus).sum(axis=-1, dtype=np.int64)
+    t = x1 & z2
+    a = (z1 & x2) ^ t
+    minus = a & (x1 ^ z1 ^ x2 ^ z2 ^ t)
+    cnt = np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
+    cnt += 2 * np.bitwise_count(minus).sum(axis=-1, dtype=np.int64)
     return cnt % 4
+
+
+def _mul_rows(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
+              rows: np.ndarray, px: np.ndarray, pz: np.ndarray, psign: int) -> None:
+    """Left-multiply the packed Pauli (px, pz, psign) into ``rows`` in place.
+
+    Only the word span from the first to the last nonzero word of
+    ``px | pz`` changes, so only that span is gathered.  ``signs`` (None to
+    ignore signs) takes the product's sign bit; an imaginary product raises.
+    ``rows`` must not hold the row that ``px``/``pz`` view.
+    """
+    nz = np.flatnonzero(px | pz)
+    span = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+    px, pz = px[span], pz[span]
+    x2, z2 = xs[rows, span], zs[rows, span]
+    if signs is not None:
+        e = phase_exponent_mod4(px, pz, x2, z2)
+        if np.any(e & 1):
+            raise VerificationError("product has imaginary sign")
+        signs[rows] ^= (e >> 1).astype(np.uint8) ^ np.uint8(psign)
+    xs[rows, span] = x2 ^ px
+    zs[rows, span] = z2 ^ pz
 
 
 class PauliString:
@@ -212,14 +238,8 @@ def _eliminate(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
                 continue
             p, rows = rows[0], rows[1:]
             used[p] = True
-            if signs is not None:
-                phase = (phase_exponent_mod4(xs[p], zs[p], xs[rows], zs[rows])
-                         + 2 * (int(signs[p]) + signs[rows].astype(np.int64))) % 4
-                if np.any(phase % 2):
-                    raise VerificationError("product has imaginary sign")
-                signs[rows] = phase // 2
-            xs[rows] ^= xs[p]
-            zs[rows] ^= zs[p]
+            _mul_rows(xs, zs, signs, rows, xs[p], zs[p],
+                      0 if signs is None else int(signs[p]))
     return used
 
 

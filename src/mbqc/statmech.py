@@ -34,7 +34,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, VerificationError, json_number, json_object
+from .errors import (CapacityError, ValidationError, VerificationError, json_index, json_number,
+                     json_object)
 from .graphs import Graph
 from .statevector import DEFAULT_CAP, ProductState, StateVector, apply_cz, overlap
 
@@ -95,17 +96,18 @@ class SpinModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpinModel":
         try:
-            d = json_object(d, ("graph", "J", "h", "beta", "q"), "spin model JSON")
+            d = json_object(d, ("graph", "J", "h", "beta"), "spin model JSON", ("q",))
             graph = Graph.from_json_dict(d["graph"])
             couplings = {}
-            for key, j in d.get("J", {}).items():
+            for key, j in d["J"].items():
                 a, b = key.split("-")
-                couplings[(int(a), int(b))] = json_number(j, f"J[{key}]")
-            fields = {int(k): json_number(v, f"h[{k}]") for k, v in d.get("h", {}).items()}
+                couplings[(json_index(a, "J key"), json_index(b, "J key"))] = json_number(
+                    j, f"J[{key}]")
+            fields = {json_index(k, "h key"): json_number(v, f"h[{k}]") for k, v in d["h"].items()}
             if d.get("q", 2) != 2:          # the schema's Potts field; Ising only
                 raise ValidationError("only q=2 (Ising) models are supported")
             return cls.build(graph, couplings, fields, json_number(d["beta"], "beta"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad spin model JSON: {exc}") from exc
 
     @classmethod

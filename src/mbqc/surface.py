@@ -202,7 +202,7 @@ class HoleSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HoleSpec":
-        json_object(d, ("electric", "magnetic"), "holes JSON")
+        json_object(d, (), "holes JSON", ("electric", "magnetic"))
         fields = [d.get(k, []) for k in ("electric", "magnetic")]
         if not all(isinstance(f, list) and all(isinstance(p, list) and len(p) == 2 for p in f)
                    for f in fields):

@@ -7,9 +7,11 @@ commutes with every other stabilizer row; all updates preserve this
 pairing, which is what makes measurement updates O(n*w) word operations.
 
 Every Pauli question starts from one anticommutation column: which of the
-2n rows anticommute with the observable.  If a stabilizer row does, a
-measurement gives a fair random (or forced) outcome and a pivot row
-replacement.  Otherwise the observable is ``+/-`` a group member, and one
+2n rows anticommute with the observable (read from the z bits for X, the
+x bits for Z).  If a stabilizer row does, a measurement gives a fair
+random (or forced) outcome, and the pivot row is multiplied into the
+other anticommuting rows by ``pauli._mul_rows`` over its word span only.
+Otherwise the observable is ``+/-`` a group member, and one
 membership routine answers both "what is the deterministic outcome?" and
 "is ``+/-P`` in the stabilizer group?": the destabilizers that anticommute
 with P select the stabilizer rows whose product must equal P, and the
@@ -27,8 +29,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
-from .pauli import (PauliString, _eliminate, column, flip_bits, n_words, pack_bits,
-                    phase_exponent_mod4, unpack_bits, xor_column)
+from .pauli import (PauliString, _eliminate, _mul_rows, column, flip_bits, n_words,
+                    pack_bits, phase_exponent_mod4, unpack_bits, xor_column)
 from .rng import OutcomeSource, as_outcome_source
 
 _OBS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -86,31 +88,6 @@ class Tableau:
         """Golden-test text form: one stabilizer row per line."""
         return "\n".join(p.to_text() for p in self.stabilizer_rows())
 
-    # -- internal word-parallel helpers ------------------------------------
-
-    def _col_bits(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """(x, z) bits of column ``q`` for all 2n rows, as uint64 0/1."""
-        return column(self.xs, q), column(self.zs, q)
-
-    def _mul_rows(self, rows: np.ndarray, px: np.ndarray, pz: np.ndarray,
-                  psign: int) -> None:
-        """Left-multiply the Pauli (px, pz, psign) into each row in ``rows``.
-
-        Phase bookkeeping is word-parallel: the product phase of every row,
-        folded with both sign bits, must be real.
-        """
-        if rows.size == 0:
-            return
-        x2 = self.xs[rows]
-        z2 = self.zs[rows]
-        phase = (phase_exponent_mod4(px, pz, x2, z2)
-                 + 2 * (int(psign) + self.signs[rows].astype(np.int64))) % 4
-        if np.any(phase % 2):
-            raise VerificationError("row product produced an imaginary phase")
-        self.signs[rows] = (phase // 2).astype(np.uint8)
-        self.xs[rows] = x2 ^ px
-        self.zs[rows] = z2 ^ pz
-
     # -- Clifford gates -----------------------------------------------------
 
     def apply_clifford(self, gate: str, targets: Sequence[int]) -> "Tableau":
@@ -130,7 +107,7 @@ class Tableau:
 
         if gate in ("H", "S", "X", "Y", "Z"):
             q = targets[0]
-            xcol, zcol = self._col_bits(q)
+            xcol, zcol = column(self.xs, q), column(self.zs, q)
             if gate == "H":
                 self.signs ^= (xcol & zcol).astype(np.uint8)
                 xor_column(self.xs, q, xcol ^ zcol)
@@ -149,8 +126,8 @@ class Tableau:
             return self
 
         a, b = targets
-        xa, za = self._col_bits(a)
-        xb, zb = self._col_bits(b)
+        xa, za = column(self.xs, a), column(self.zs, a)
+        xb, zb = column(self.xs, b), column(self.zs, b)
         if gate == "CNOT":
             self.signs ^= (xa & zb & ~(xb ^ za)).astype(np.uint8)
             xor_column(self.xs, b, xa)
@@ -165,15 +142,17 @@ class Tableau:
 
     # -- measurement --------------------------------------------------------
 
-    def _anticommuting(self, basis: str, qubit: int) -> np.ndarray:
-        """Which of the 2n rows anticommute with ``basis`` on ``qubit`` (bool)."""
+    def _anticommuting(self, basis: str, qubit: int,
+                       rows: slice = slice(None)) -> np.ndarray:
+        """Which of ``rows`` (default all 2n) anticommute with ``basis`` on
+        ``qubit`` (bool).  X reads only the z column, Z only the x column."""
         if basis not in _OBS_BITS:
             raise ValidationError(f"basis must be X, Y or Z, got {basis!r}")
         if not (0 <= qubit < self.n):
             raise ValidationError(f"qubit {qubit} out of range")
         xo, zo = _OBS_BITS[basis]
-        xcol, zcol = self._col_bits(qubit)
-        return ((xcol if zo else 0) ^ (zcol if xo else 0)).astype(bool)
+        return ((column(self.xs[rows], qubit) if zo else 0)
+                ^ (column(self.zs[rows], qubit) if xo else 0)) != 0
 
     def measure_pauli(self, basis: str, qubit: int,
                       randomness: Union[int, OutcomeSource, None] = None,
@@ -197,15 +176,12 @@ class Tableau:
             m = src.choose(qubit, 0.5)
             rows = np.flatnonzero(anti)
             rows = rows[(rows != p) & (rows != p - self.n)]
-            self._mul_rows(rows, self.xs[p].copy(), self.zs[p].copy(),
-                           int(self.signs[p]))
+            _mul_rows(self.xs, self.zs, self.signs, rows, self.xs[p], self.zs[p],
+                      int(self.signs[p]))
             # old pivot becomes the paired destabilizer; pivot becomes +/-P
-            self.xs[p - self.n] = self.xs[p]
-            self.zs[p - self.n] = self.zs[p]
-            self.signs[p - self.n] = self.signs[p]
-            self.xs[p] = obs.x
-            self.zs[p] = obs.z
-            self.signs[p] = m
+            d = p - self.n
+            self.xs[d], self.zs[d], self.signs[d] = self.xs[p], self.zs[p], self.signs[p]
+            self.xs[p], self.zs[p], self.signs[p] = obs.x, obs.z, m
             if DEBUG_CHECKS:
                 self.check_invariants()
             return m
@@ -217,33 +193,28 @@ class Tableau:
 
     def outcome_is_random(self, basis: str, qubit: int) -> bool:
         """True when measuring the observable would give a fair coin."""
-        return bool(np.any(self._anticommuting(basis, qubit)[self.n:]))
+        return bool(np.any(self._anticommuting(basis, qubit, slice(self.n, None))))
 
     def _stab_row_product(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Product of the selected stabilizer rows (they all commute).
 
-        Balanced pairwise reduction so the phase bookkeeping stays
-        word-parallel and row-parallel; returns (x, z, i-exponent mod 4).
+        Folds the back half of the rows onto the front half until one is
+        left, so the phase bookkeeping stays word-parallel and row-parallel
+        (the order of commuting factors does not change the product);
+        returns (x, z, i-exponent mod 4).
         """
         if sel.size == 0:
             return (np.zeros(self.w, dtype=np.uint64),
                     np.zeros(self.w, dtype=np.uint64), 0)
         idx = self.n + sel
-        xs = self.xs[idx]
-        zs = self.zs[idx]
-        ph = (2 * self.signs[idx].astype(np.int64)) % 4
-        while xs.shape[0] > 1:
-            k = xs.shape[0] & ~1
-            x1, z1 = xs[0:k:2], zs[0:k:2]
-            x2, z2 = xs[1:k:2], zs[1:k:2]
-            newph = (ph[0:k:2] + ph[1:k:2] + phase_exponent_mod4(x1, z1, x2, z2)) % 4
-            newx = x1 ^ x2
-            newz = z1 ^ z2
-            if xs.shape[0] & 1:
-                newx = np.concatenate([newx, xs[-1:]])
-                newz = np.concatenate([newz, zs[-1:]])
-                newph = np.concatenate([newph, ph[-1:]])
-            xs, zs, ph = newx, newz, newph
+        xs, zs, ph = self.xs[idx], self.zs[idx], 2 * self.signs[idx].astype(np.int64)
+        while len(xs) > 1:
+            k = (len(xs) + 1) // 2
+            m = len(xs) - k
+            ph[:m] += ph[k:] + phase_exponent_mod4(xs[:m], zs[:m], xs[k:], zs[k:])
+            xs[:m] ^= xs[k:]
+            zs[:m] ^= zs[k:]
+            xs, zs, ph = xs[:k], zs[:k], ph[:k]
         return xs[0], zs[0], int(ph[0]) % 4
 
     def _member_sign_bit(self, anti: np.ndarray, p: PauliString) -> Optional[int]:
@@ -284,14 +255,10 @@ class Tableau:
         return -1 if s ^ p.sign_bit else +1
 
     def check_invariants(self) -> None:
-        """Assert the commutation structure; debug aid.
-
-        Stabilizer rows commute pairwise, and destabilizer ``i``
-        anticommutes with stabilizer ``j`` exactly when ``i == j``: one
-        packed popcount per stabilizer row.  The pairing implies that the
-        stabilizer rows are independent (a product of a nonempty subset
-        anticommutes with the destabilizers paired to that subset), so no
-        separate rank check is needed.
+        """Assert the commutation structure (debug aid), one packed popcount
+        per stabilizer row: stabilizer rows commute pairwise, and
+        destabilizer ``i`` anticommutes with stabilizer ``j`` iff ``i == j``.
+        That pairing makes the stabilizer rows independent, so no rank check.
         """
         n = self.n
         for i in range(n):
@@ -420,13 +387,9 @@ def _complete_destabilizers(stabs: list[PauliString], n: int) -> list[PauliStrin
     if r < n:
         raise VerificationError("stabilizer generators are not independent")
 
-    destabs = []
-    for i in range(n):
-        rhs = aug[:, 2 * n + i]          # solve M d = e_i
-        d = np.zeros(2 * n, dtype=np.uint8)
-        for row_idx, c in enumerate(pivots):
-            d[c] = rhs[row_idx]
-        destabs.append(PauliString.from_bits(d[:n], d[n:], +1))
+    d = np.zeros((n, 2 * n), dtype=np.uint8)
+    d[:, pivots] = aug[:, 2 * n:].T      # row i solves M d = e_i
+    destabs = [PauliString.from_bits(row[:n], row[n:], +1) for row in d]
 
     for i in range(n):
         for j in range(i + 1, n):

@@ -18,6 +18,21 @@ def random_state(n, rng):
     return StateVector(n, v / np.linalg.norm(v))
 
 
+def mul_rows_full_width(xs, zs, signs, rows, px, pz, psign):
+    """Reference for ``pauli._mul_rows``: the row product over every word,
+    with the phase counted from explicit +i and -i masks."""
+    x2, z2 = xs[rows], zs[rows]
+    plus = (px & ~pz & x2 & z2) | (px & pz & ~x2 & z2) | (~px & pz & x2 & ~z2)
+    minus = ((px & z2) ^ (pz & x2)) & ~plus
+    phase = (np.bitwise_count(plus).sum(axis=-1, dtype=np.int64)
+             - np.bitwise_count(minus).sum(axis=-1, dtype=np.int64)
+             + 2 * (psign + signs[rows].astype(np.int64))) % 4
+    assert not np.any(phase % 2)
+    signs[rows] = phase // 2
+    xs[rows] = x2 ^ px
+    zs[rows] = z2 ^ pz
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import schema_validator
 from mbqc.cli import main
@@ -89,6 +91,41 @@ def test_force_outcomes_flag(files, capsys):
                          "--force-outcomes", forced], capsys)
     assert code == 0
     assert all(v == 0 for v in rep["result"]["outcomes"].values())
+
+
+def _measured_pattern(files, capsys):
+    pat = files["tmp"] / "pattern.json"
+    assert main(["compile", "--circuit", str(files["circuit"]), "--out", str(pat)]) == 0
+    capsys.readouterr()
+    return pat
+
+
+@pytest.mark.parametrize("subcommand", ["run-pattern", "slice"])
+@pytest.mark.parametrize("entry", ["0=2", "0=-1", "0=", "0=x", "0"])
+def test_force_outcomes_takes_only_bits(subcommand, entry, files, capsys):
+    argv = (["run-pattern", "--pattern", str(_measured_pattern(files, capsys))]
+            if subcommand == "run-pattern" else ["slice", "--layout", str(files["layout"])])
+    _assert_input_rejected(argv + ["--force-outcomes", entry], capsys)
+
+
+@pytest.mark.parametrize("site", ["999", "-1", "output"])
+def test_force_outcomes_rejects_a_site_no_command_measures(site, files, capsys):
+    pat = _measured_pattern(files, capsys)
+    if site == "output":
+        site = str(json.loads(pat.read_text())["outputs"][0])
+    _assert_input_rejected(["run-pattern", "--pattern", str(pat), "--backend", "stab",
+                            "--force-outcomes", f"{site}=1"], capsys)
+
+
+def test_stdout_is_the_json_out_report_plus_wall_time(files, capsys):
+    out = files["tmp"] / "report.json"
+    assert main(["graph-state", "--lattice", str(files["lattice"]),
+                 "--json-out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[-2].startswith('  "wall_time_ms": ') and lines[-1] == "}\n"
+    assert lines[-3].endswith(",\n")
+    stdout = "".join(lines[:-3]) + lines[-3][:-2] + "\n" + lines[-1]
+    assert stdout.encode() == out.read_bytes()
 
 
 def test_slice_verify_and_determinism(files, capsys):
@@ -179,6 +216,8 @@ _DOCUMENTS = {
     "model": ({"graph": {"n": 2, "edges": [[0, 1]]}, "J": {"0-1": 1.0},
                "h": {"0": 0.0, "1": 0.5}, "beta": 1.0},
               "spin_model.schema.json", ["partition", "--model"]),
+    "holes": ({"electric": [[1, 1], [1, 2]], "magnetic": [[0, 0], [1, 1]]},
+              "holes.schema.json", ["slice", "--layout", "{tmp}/layout.json", "--holes"]),
 }
 # (document, path to a field, JSON type of the field)
 _TYPED_FIELDS = [
@@ -212,7 +251,8 @@ def _with_field(doc_name, path, change):
 def _run_document(doc_name, doc, files):
     path = files["tmp"] / f"{doc_name}.json"
     path.write_text(json.dumps(doc))
-    return main(_DOCUMENTS[doc_name][2] + [str(path)])
+    return main([arg.format(tmp=files["tmp"]) for arg in _DOCUMENTS[doc_name][2]]
+                + [str(path)])
 
 
 def _field_id(doc_name, path, *rest):
@@ -266,6 +306,59 @@ def test_misspelt_keys_are_validation_errors(doc_name, path, key, typo, files, c
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert typo in err
+
+
+def _paths(doc, path=()):
+    """The path to every value of a JSON document, the root first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+# small values of every JSON type; numbers stay small so valid documents run fast
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(-4, 4),
+                         st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+                         st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=1))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid input document after one or two mutations: drop a key or an
+    item, add an unknown key or an item, or swap a value for any JSON value."""
+    name = draw(st.sampled_from(sorted(_DOCUMENTS)))
+    doc = json.loads(json.dumps(_DOCUMENTS[name][0]))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        owner, target = None, doc
+        for key in path:
+            owner, target = target, target[key]
+        op = draw(st.sampled_from(["drop", "add", "swap"]))
+        if op == "drop" and path:
+            del owner[path[-1]]
+        elif op == "add" and isinstance(target, dict):
+            target[draw(st.text(max_size=6))] = draw(_JSON_VALUES)
+        elif op == "add" and isinstance(target, list):
+            target.append(draw(_JSON_VALUES))
+        elif path:
+            owner[path[-1]] = draw(_JSON_VALUES)
+        else:
+            doc = draw(_JSON_VALUES)
+    return name, doc
+
+
+@given(_mutated_documents())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parsers_agree_with_their_schemas(files, capsys, case):
+    name, doc = case
+    code = _run_document(name, doc, files)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (name, doc, err)
+    if not schema_validator(_DOCUMENTS[name][1]).is_valid(doc):
+        assert code == 2, (name, doc, code, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (name, doc, err)
 
 
 @pytest.mark.parametrize("method", ["overlap", "brute"])

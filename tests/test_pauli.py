@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mbqc
-from mbqc.errors import ValidationError
-from mbqc.pauli import PauliString, n_words, pack_bits, symplectic_rank, unpack_bits
+from conftest import mul_rows_full_width
+from mbqc.errors import ValidationError, VerificationError
+from mbqc.pauli import (PauliString, _mul_rows, n_words, pack_bits, phase_exponent_mod4,
+                        symplectic_rank, unpack_bits)
 from mbqc.statevector import StateVector, apply_pauli_string
 
 _SINGLE = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
@@ -64,7 +66,6 @@ def test_product_matches_dense_when_real(a, b, sa, sb):
 
 
 def test_anticommuting_product_raises():
-    from mbqc.errors import VerificationError
     with pytest.raises(VerificationError):
         PauliString.from_text("+X") * PauliString.from_text("+Z")
 
@@ -163,3 +164,65 @@ def test_apply_pauli_string_matches_dense_kronecker(text, negative, seed):
     p = PauliString.from_text(("-" if negative else "+") + text)
     got = apply_pauli_string(StateVector(n, amps), p).amps
     assert np.allclose(got, dense(p) @ amps)
+
+
+# i-exponent of P1*P2 relative to the encoded product, one qubit: XY = iZ, YX = -iZ, ...
+_PRODUCT_EXPONENT = {("X", "Y"): 1, ("Y", "Z"): 1, ("Z", "X"): 1,
+                     ("Y", "X"): 3, ("Z", "Y"): 3, ("X", "Z"): 3}
+
+
+def _pack_letters(letters):
+    letters = np.asarray(letters)
+    return pack_bits(np.isin(letters, ["X", "Y"])), pack_bits(np.isin(letters, ["Z", "Y"]))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_phase_exponent_matches_single_qubit_table(n):
+    rng = np.random.default_rng(n)
+    a = rng.choice(list("IXYZ"), size=(40, n))
+    b = rng.choice(list("IXYZ"), size=(40, n))
+    want = [sum(_PRODUCT_EXPONENT.get(pq, 0) for pq in zip(ra, rb)) % 4
+            for ra, rb in zip(a, b)]
+    (x1, z1), (x2, z2) = _pack_letters(a), _pack_letters(b)
+    assert phase_exponent_mod4(x1, z1, x2, z2).tolist() == want
+    # a single left factor broadcasts against the stack, as in row products
+    assert phase_exponent_mod4(x1[0], z1[0], x2, z2).tolist() == [
+        sum(_PRODUCT_EXPONENT.get(pq, 0) for pq in zip(a[0], rb)) % 4 for rb in b]
+
+
+def _rows_and_pivot(n, lo, hi, rng, commuting=True):
+    """Random packed rows and a pivot supported on qubits lo..hi-1 (both
+    ends set); keeps the rows that commute (or anticommute) with the pivot."""
+    letters = rng.choice(list("IXYZ"), size=(60, n))
+    pivot = np.full(n, "I")
+    pivot[lo:hi] = rng.choice(list("IXYZ"), size=hi - lo)
+    pivot[[lo, hi - 1]] = rng.choice(list("XYZ"), size=2)
+    xs, zs = _pack_letters(letters)
+    px, pz = _pack_letters(pivot)
+    anti = np.bitwise_count((xs & pz) ^ (zs & px)).sum(axis=1) % 2
+    rows = np.flatnonzero(anti == (0 if commuting else 1))
+    return xs, zs, rng.integers(0, 2, size=60).astype(np.uint8), rows, px, pz
+
+
+@pytest.mark.parametrize("n,lo,hi", [(130, 0, 5),        # first word
+                                     (130, 128, 130),    # last, partial word
+                                     (130, 60, 70),      # across a word boundary
+                                     (65, 0, 65)])       # every word
+@pytest.mark.parametrize("with_signs", [True, False])
+def test_mul_rows_matches_full_width_reference(n, lo, hi, with_signs):
+    rng = np.random.default_rng([n, lo, hi])
+    xs, zs, signs, rows, px, pz = _rows_and_pivot(n, lo, hi, rng)
+    before = signs.copy()
+    want = xs.copy(), zs.copy(), signs.copy()
+    mul_rows_full_width(*want, rows, px, pz, 1)
+    _mul_rows(xs, zs, signs if with_signs else None, rows, px, pz, 1)
+    assert np.array_equal(xs, want[0]) and np.array_equal(zs, want[1])
+    assert np.array_equal(signs, want[2] if with_signs else before)
+
+
+def test_mul_rows_rejects_an_imaginary_product():
+    xs, zs, signs, rows, px, pz = _rows_and_pivot(70, 60, 70, np.random.default_rng(0),
+                                                  commuting=False)
+    assert rows.size
+    with pytest.raises(VerificationError, match="imaginary"):
+        _mul_rows(xs, zs, signs, rows, px, pz, 0)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import mul_rows_full_width, random_graph
 from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern
 from mbqc.errors import ContradictionError, ValidationError
 from mbqc.graphs import Graph
-from mbqc.pauli import PauliString
+from mbqc.pauli import PauliString, unpack_bits
 from mbqc.rng import PROB_TOL, OutcomeSource, make_rng
 from mbqc.statevector import (StateVector, fidelity_up_to_phase, graph_state_vector,
                               measure_angle, measure_probability)
@@ -263,6 +263,37 @@ def test_extract_subtableau_matches_per_bit_elimination(n):
         sub = extract_subtableau(t, keep)
         sub.check_invariants()
         assert sub.dump().split("\n") == _extract_per_bit(t, keep)
+
+
+def _measure_full_width(t, basis, q, m):
+    """Reference update for outcome ``m`` of a Pauli measurement: the same
+    pivot rule as ``measure_pauli``, with full-width row products and
+    columns read from unpacked bits."""
+    n = t.n
+    xo, zo = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[basis]
+    anti = ((zo * unpack_bits(t.xs, n)[:, q]) ^ (xo * unpack_bits(t.zs, n)[:, q])) != 0
+    if not anti[n:].any():
+        return
+    p = n + int(np.flatnonzero(anti[n:])[0])
+    rows = np.array([r for r in np.flatnonzero(anti) if r not in (p, p - n)], dtype=np.int64)
+    mul_rows_full_width(t.xs, t.zs, t.signs, rows, t.xs[p].copy(), t.zs[p].copy(),
+                        int(t.signs[p]))
+    t.xs[p - n], t.zs[p - n], t.signs[p - n] = t.xs[p], t.zs[p], t.signs[p]
+    obs = PauliString.single(n, q, basis)
+    t.xs[p], t.zs[p], t.signs[p] = obs.x, obs.z, m
+
+
+@pytest.mark.parametrize("n", [65, 130, 300])
+def test_measurements_match_full_width_reference(n):
+    rng = np.random.default_rng(n)
+    t = graph_state_tableau(random_graph(n, rng, p=4 / n))
+    ref = t.copy()
+    src = OutcomeSource(rng=rng)
+    for q in rng.integers(0, n, size=n):
+        basis = str(rng.choice(["X", "Y", "Z"]))
+        _measure_full_width(ref, basis, int(q), t.measure_pauli(basis, int(q), src))
+    assert np.array_equal(t.xs, ref.xs) and np.array_equal(t.zs, ref.zs)
+    assert np.array_equal(t.signs, ref.signs)
 
 
 def test_forced_with_an_outcome_source_is_rejected():
