@@ -283,6 +283,8 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
     """
     _require_valid(p)
     k = len(p.commands)
+    if branch_cap < 0:
+        raise ValidationError(f"branch cap must be a non-negative count, got {branch_cap}")
     if 2 ** k > branch_cap:
         raise CapacityError(f"2^{k} branches exceed cap {branch_cap}")
     return _walk(p, input_state, backend, cap, None)

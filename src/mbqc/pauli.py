@@ -12,7 +12,8 @@ checks are word-wise XOR/AND plus a popcount.  Every sign-tracked row
 product goes through one kernel, ``_mul_rows``, which touches only the
 pivot's word span, with its phase from ``phase_exponent_mod4`` (two
 popcounts); the GF(2) eliminator ``_eliminate`` (output extraction,
-``symplectic_rank``) and tableau measurement both call it.
+``symplectic_rank``) and tableau measurement both call it; every
+whole-row commutation test is ``anticommuting`` (one popcount per row).
 """
 from __future__ import annotations
 
@@ -69,6 +70,12 @@ def column(words: np.ndarray, q: int) -> np.ndarray:
 def xor_column(words: np.ndarray, q: int, bits: np.ndarray) -> None:
     """XOR uint64 0/1 ``bits`` (one per row) into bit ``q`` of every packed row."""
     words[:, q >> 6] ^= bits << np.uint64(q & 63)
+
+
+def anticommuting(xs: np.ndarray, zs: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Which packed rows (xs, zs) anticommute with the packed Pauli (x, z), one
+    bool per row: the parity of popcount((xs & z) ^ (zs & x)) along the last axis."""
+    return (np.bitwise_count((xs & z) ^ (zs & x)).sum(axis=-1) & 1).astype(bool)
 
 
 def phase_exponent_mod4(x1: np.ndarray, z1: np.ndarray,
@@ -189,8 +196,7 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValidationError("qubit counts differ")
-        anti = (self.x & other.z) ^ (self.z & other.x)
-        return int(np.bitwise_count(anti).sum()) % 2 == 0
+        return not anticommuting(self.x, self.z, other.x, other.z)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Operator product self * other; raises if the result is not real."""

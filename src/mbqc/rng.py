@@ -23,6 +23,8 @@ PROB_TOL = 1e-12
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package's named generator (PCG64) for a 64-bit seed."""
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 

@@ -62,12 +62,10 @@ class SpinModel:
         verts = set(range(self.graph.n_vertices))
         if set(self.fields) != verts:
             raise ValidationError("fields must be keyed exactly by the vertex set")
-        for v in self.couplings.values():
-            if not math.isfinite(v):
-                raise ValidationError("couplings must be finite")
-        for v in self.fields.values():
-            if not math.isfinite(v):
-                raise ValidationError("fields must be finite")
+        # bounds |beta*E| for every configuration, so no weight either method forms overflows
+        bound = sum(self.beta * abs(v) for v in [*self.couplings.values(), *self.fields.values()])
+        if not math.isfinite(bound):
+            raise ValidationError(f"sum of beta*|J| and beta*|h| must be finite, got {bound}")
 
     @classmethod
     def build(cls, graph: Graph, couplings: Mapping, fields: Mapping,

@@ -2,9 +2,9 @@
 
 The tableau keeps ``n`` destabilizer rows (indices ``0..n-1``) and ``n``
 stabilizer rows (``n..2n-1``), each a bit-packed Pauli with a sign bit.
-Row ``i`` of the destabilizers anticommutes with stabilizer row ``i`` and
-commutes with every other stabilizer row; all updates preserve this
-pairing, which is what makes measurement updates O(n*w) word operations.
+Row ``i`` of the destabilizers anticommutes with stabilizer row ``i`` only,
+and rows of one kind commute; all updates preserve this pairing, which is
+what makes measurement updates O(n*w) word operations.
 
 Every Pauli question starts from one anticommutation column: which of the
 2n rows anticommute with the observable (read from the z bits for X, the
@@ -18,8 +18,10 @@ with P select the stabilizer rows whose product must equal P, and the
 product's sign is the answer.  A deterministic outcome is read this way
 before any randomness is consumed.
 
-Phases are tracked internally modulo 4 (products of rows pass through
-``+/-i``); every exposed row sign is real.
+Output extraction stays packed: ``_mul_rows`` elimination, then destabilizer
+completion by whole-row XORs; ``pauli.anticommuting`` is every whole-row
+commutation test.  Phases are tracked internally modulo 4 (products of rows
+pass through ``+/-i``); every exposed row sign is real.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
-from .pauli import (PauliString, _eliminate, _mul_rows, column, flip_bits, n_words,
-                    pack_bits, phase_exponent_mod4, unpack_bits, xor_column)
+from .pauli import (PauliString, _eliminate, _mul_rows, anticommuting, column, flip_bits,
+                    n_words, pack_bits, phase_exponent_mod4, unpack_bits, xor_column)
 from .rng import OutcomeSource, as_outcome_source
 
 _OBS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -236,10 +238,6 @@ class Tableau:
 
     # -- group queries ------------------------------------------------------
 
-    def _anticommuting_pauli(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Which of the 2n rows anticommute with the packed Pauli (x, z) (bool)."""
-        return (np.bitwise_count((self.xs & z) ^ (self.zs & x)).sum(axis=1) & 1).astype(bool)
-
     def stabilizer_group_contains(self, p: PauliString) -> Optional[int]:
         """Membership of ``+/-p`` in the stabilizer group.
 
@@ -249,20 +247,20 @@ class Tableau:
         """
         if p.n != self.n:
             raise ValidationError("qubit counts differ")
-        s = self._member_sign_bit(self._anticommuting_pauli(p.x, p.z), p)
+        s = self._member_sign_bit(anticommuting(self.xs, self.zs, p.x, p.z), p)
         if s is None:
             return None
         return -1 if s ^ p.sign_bit else +1
 
     def check_invariants(self) -> None:
         """Assert the commutation structure (debug aid), one packed popcount
-        per stabilizer row: stabilizer rows commute pairwise, and
+        per row: stabilizer rows commute pairwise, so do destabilizer rows, and
         destabilizer ``i`` anticommutes with stabilizer ``j`` iff ``i == j``.
         That pairing makes the stabilizer rows independent, so no rank check.
         """
         n = self.n
         for i in range(n):
-            anti = self._anticommuting_pauli(self.xs[n + i], self.zs[n + i])
+            anti = anticommuting(self.xs, self.zs, self.xs[n + i], self.zs[n + i])
             bad = np.flatnonzero(anti[n:])
             if bad.size:
                 raise VerificationError(f"stabilizer rows {i},{int(bad[0])} anticommute")
@@ -271,6 +269,9 @@ class Tableau:
             if bad.size:
                 raise VerificationError(
                     f"destabilizer pairing broken at ({i},{int(bad[0])})")
+            bad = np.flatnonzero(anticommuting(self.xs[:n], self.zs[:n], self.xs[i], self.zs[i]))
+            if bad.size:
+                raise VerificationError(f"destabilizer rows {i},{int(bad[0])} anticommute")
 
 
 def graph_state_tableau(graph: Graph) -> Tableau:
@@ -325,8 +326,8 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
     discarded qubits have been measured).  The stabilizer rows go through
     the packed, sign-tracked Gaussian elimination of ``pauli._eliminate``
     on the discarded qubits, in ascending order, x column before z column;
-    the rows left over are the generators supported on ``keep``.  Fresh
-    destabilizers are completed symplectically.
+    the rows left over, the generators supported on ``keep``, go straight
+    into the new tableau, whose destabilizers are completed on packed rows.
     """
     keep = [int(q) for q in keep]
     if len(set(keep)) != len(keep):
@@ -351,49 +352,39 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
     out.xs[nk:] = pack_bits(unpack_bits(xs, t.n)[:, keep])
     out.zs[nk:] = pack_bits(unpack_bits(zs, t.n)[:, keep])
     out.signs[nk:] = signs
-    destabs = _complete_destabilizers(out.stabilizer_rows(), nk)
-    for i, d in enumerate(destabs):
-        out.xs[i] = d.x
-        out.zs[i] = d.z
+    out.xs[:nk], out.zs[:nk] = _complete_destabilizers(out.xs[nk:], out.zs[nk:])
     return out
 
 
-def _complete_destabilizers(stabs: list[PauliString], n: int) -> list[PauliString]:
-    """Solve for rows pairing symplectically with the given stabilizers.
+def _complete_destabilizers(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed, sign-free rows (x, z) of d_i that anticommute with s_i only.
 
-    d_i must anticommute with stabs[i] only, and destabilizers must commute
-    pairwise; signs are irrelevant and set to +.
+    Gauss-Jordan on [M | I] with M = [s.z | s.x], one whole-row XOR per pivot,
+    solves M d_i = e_i; then each s_i is XORed into the later d_j that
+    anticommute with d_i, which changes no other commutation (s_i commutes
+    with every d_j, j != i).
     """
-    m = np.zeros((n, 2 * n), dtype=np.uint8)
-    for j, s in enumerate(stabs):
-        m[j, :n] = unpack_bits(s.z, n)      # coefficient of d_x
-        m[j, n:] = unpack_bits(s.x, n)      # coefficient of d_z
-    aug = np.concatenate([m, np.eye(n, dtype=np.uint8)], axis=1)
+    n = len(xs)
+    aug = np.stack([zs, xs, pack_bits(np.eye(n, dtype=np.uint8))], axis=1)
     pivots = []
-    r = 0
     for c in range(2 * n):
-        rows_with = np.flatnonzero(aug[r:, c]) + r
-        if rows_with.size == 0:
+        r = len(pivots)
+        has = column(aug[:, c // n], c % n) != 0
+        below = np.flatnonzero(has[r:])
+        if below.size == 0:
             continue
-        if rows_with[0] != r:
-            aug[[r, rows_with[0]]] = aug[[rows_with[0], r]]
-        for i in range(n):
-            if i != r and aug[i, c]:
-                aug[i] ^= aug[r]
+        p = r + below[0]
+        aug[[r, p]], has[[r, p]] = aug[[p, r]], has[[p, r]]
+        has[r] = False
+        aug[has] ^= aug[r]
         pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    if r < n:
+    if len(pivots) < n:
         raise VerificationError("stabilizer generators are not independent")
 
     d = np.zeros((n, 2 * n), dtype=np.uint8)
-    d[:, pivots] = aug[:, 2 * n:].T      # row i solves M d = e_i
-    destabs = [PauliString.from_bits(row[:n], row[n:], +1) for row in d]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not destabs[i].commutes_with(destabs[j]):
-                prod = destabs[j] * stabs[i]
-                destabs[j] = PauliString(n, prod.x, prod.z, +1)
-    return destabs
+    d[:, pivots] = unpack_bits(aug[:, 2], n).T      # row i solves M d = e_i
+    d, s = pack_bits(d.reshape(n, 2, n)), np.stack([xs, zs], axis=1)    # [:, 0] x, [:, 1] z
+    for i in range(n - 1):
+        later = d[i + 1:]
+        later[anticommuting(later[:, 0], later[:, 1], d[i, 0], d[i, 1])] ^= s[i]
+    return d[:, 0], d[:, 1]

@@ -383,6 +383,33 @@ def test_negative_cap_is_a_validation_error(flag, env, files, capsys, monkeypatc
     _assert_input_rejected(["partition", "--model", str(files["model"])] + flag, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["run-pattern", "--pattern", "{pattern}", "--seed", "-1"],
+    ["run-pattern", "--pattern", "{pattern}", "--seed", str(1 << 64)],
+    ["slice", "--layout", "{layout}", "--seed", "-1"],
+    ["percolation", "--rate", "0.5", "--n-seeds", "2", "--seed", "-5"],
+    ["branches", "--pattern", "{pattern}", "--branch-cap", "-1"],
+    ["partition", "--model", "{model}", "--json-out", "{tmp}/no/such/dir/x.json"],
+    ["partition", "--model", "{model}", "--json-out", "{tmp}/a_dir"],
+    ["compile", "--circuit", "{circuit}", "--out", "{tmp}/no/such/dir/p.json"],
+    ["compile", "--circuit", "{circuit}", "--out", "{tmp}/a_dir"],
+    ["partition", "--model", "{tmp}/not_utf8.json"],
+    ["partition", "--model", "{tmp}/huge.json", "--method", "overlap"],
+    ["partition", "--model", "{tmp}/huge.json", "--method", "brute"],
+])
+def test_out_of_range_flags_and_bad_files_exit_2(argv, files, capsys):
+    (files["tmp"] / "a_dir").mkdir()
+    (files["tmp"] / "not_utf8.json").write_bytes(b"\xff\xfe")
+    (files["tmp"] / "huge.json").write_text(json.dumps(
+        {"graph": {"n": 2, "edges": [[0, 1]]}, "J": {"0-1": 1e200},
+         "h": {"0": 0, "1": 0}, "beta": 1e200}))
+    paths = {k: str(v) for k, v in files.items()}
+    paths["pattern"] = str(_measured_pattern(files, capsys))
+    before = sorted(files["tmp"].iterdir())
+    _assert_input_rejected([a.format(**paths) for a in argv], capsys)
+    assert sorted(files["tmp"].iterdir()) == before     # no .mbqc-tmp-* left behind
+
+
 def test_long_clifford_run_reports_log2_probability(files, capsys):
     # every measurement of a flow pattern on a chain is a fair coin, so the
     # product of the k outcome probabilities underflows but its log2 is -k

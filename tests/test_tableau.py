@@ -265,6 +265,76 @@ def test_extract_subtableau_matches_per_bit_elimination(n):
         assert sub.dump().split("\n") == _extract_per_bit(t, keep)
 
 
+def _complete_destabilizers_per_element(stabs, n):
+    """Reference completion, one matrix element and one PauliString product
+    at a time: Gauss-Jordan on the dense [s.z | s.x | I] with a per-row XOR
+    loop, then each anticommuting pair (d_i, d_j), i < j, fixed by d_j *= s_i."""
+    m = np.zeros((n, 2 * n), dtype=np.uint8)
+    for j, s in enumerate(stabs):
+        m[j, :n] = unpack_bits(s.z, n)
+        m[j, n:] = unpack_bits(s.x, n)
+    aug = np.concatenate([m, np.eye(n, dtype=np.uint8)], axis=1)
+    pivots = []
+    r = 0
+    for c in range(2 * n):
+        rows_with = np.flatnonzero(aug[r:, c]) + r
+        if rows_with.size == 0:
+            continue
+        if rows_with[0] != r:
+            aug[[r, rows_with[0]]] = aug[[rows_with[0], r]]
+        for i in range(n):
+            if i != r and aug[i, c]:
+                aug[i] ^= aug[r]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    d = np.zeros((n, 2 * n), dtype=np.uint8)
+    d[:, pivots] = aug[:, 2 * n:].T
+    destabs = [PauliString.from_bits(row[:n], row[n:], +1) for row in d]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not destabs[i].commutes_with(destabs[j]):
+                prod = destabs[j] * stabs[i]
+                destabs[j] = PauliString(n, prod.x, prod.z, +1)
+    return destabs
+
+
+def _random_clifford_tableau(n, rng):
+    """|+...+> after 4n random one- and two-qubit Clifford gates: dense,
+    random commuting generators."""
+    t = Tableau.plus_state(n)
+    for _ in range(4 * n):
+        gate = str(rng.choice(["H", "S", "CZ", "CNOT"]))
+        targets = rng.choice(n, size=1 + (gate in ("CZ", "CNOT")), replace=False)
+        t.apply_clifford(gate, [int(q) for q in targets])
+    return t
+
+
+@pytest.mark.parametrize("source", ["graph", "clifford"])
+@pytest.mark.parametrize("nk", [63, 64, 65, 130])
+def test_destabilizer_completion_matches_per_element_reference(nk, source):
+    rng = np.random.default_rng(nk)
+    n = nk + 20
+    t = (graph_state_tableau(random_graph(n, rng, p=4 / n)) if source == "graph"
+         else _random_clifford_tableau(n, rng))
+    keep = [int(q) for q in rng.permutation(n)[:nk]]
+    src = OutcomeSource(rng=rng)
+    for q in sorted(set(range(n)) - set(keep)):     # a measured qubit is a product factor
+        t.measure_pauli(str(rng.choice(["X", "Y", "Z"])), q, src)
+    sub = extract_subtableau(t, keep)
+    ref = _complete_destabilizers_per_element(
+        [sub.stabilizer_row(i) for i in range(nk)], nk)
+    assert np.array_equal(sub.xs[:nk], [d.x for d in ref])
+    assert np.array_equal(sub.zs[:nk], [d.z for d in ref])
+    assert not sub.signs[:nk].any()
+    # [D; S] pair as [[0, I], [I, 0]]: S-S and D-D commute, D_i-S_j = delta_ij
+    xs, zs = sub.xs, sub.zs
+    gram = np.bitwise_count((xs[:, None] & zs[None]) ^ (zs[:, None] & xs[None])).sum(-1) % 2
+    eye = np.eye(nk, dtype=int)
+    assert np.array_equal(gram, np.block([[0 * eye, eye], [eye, 0 * eye]]))
+
+
 def _measure_full_width(t, basis, q, m):
     """Reference update for outcome ``m`` of a Pauli measurement: the same
     pivot rule as ``measure_pauli``, with full-width row products and
@@ -371,6 +441,18 @@ def test_check_invariants_catches_broken_pairing(rng):
     t.xs[i] ^= t.xs[j]
     t.zs[i] ^= t.zs[j]
     with pytest.raises(VerificationError, match=rf"destabilizer pairing broken at \({j},{i}\)"):
+        t.check_invariants()
+
+
+def test_check_invariants_catches_anticommuting_destabilizers(rng):
+    from mbqc.errors import VerificationError
+    n = 70
+    t = _scrambled_tableau(n, rng, 30)
+    i, j = 4, 68
+    # D_i * S_j keeps every destabilizer-stabilizer pairing but anticommutes with D_j
+    t.xs[i] ^= t.xs[n + j]
+    t.zs[i] ^= t.zs[n + j]
+    with pytest.raises(VerificationError, match=f"destabilizer rows {i},{j} anticommute"):
         t.check_invariants()
 
 
