@@ -2,7 +2,8 @@
 
 Subcommands: graph-state, run-pattern, branches, compile, partition,
 slice, percolation.  Exit codes: 0 success, 2 validation error (including
-usage), 3 capacity exceeded, 4 verification failure.
+usage), 3 capacity exceeded (including running out of memory), 4
+verification failure.
 
 ``--json-out`` writes a deterministic report (same argv give byte-identical
 files; wall time appears only on stdout).  ``--seed`` (run-pattern, slice,
@@ -69,11 +70,20 @@ def _parse_forced(text: str | None) -> dict[int, int]:
     for item in filter(None, (part.strip() for part in (text or "").split(","))):
         site, _, bit = item.partition("=")
         try:
-            forced[int(site)] = ("0", "1").index(bit.strip())
+            site, bit = int(site), ("0", "1").index(bit.strip())
         except ValueError as exc:
             raise ValidationError(
                 f"bad --force-outcomes entry {item!r} (want site=bit, bit 0 or 1)") from exc
+        if site in forced:
+            raise ValidationError(f"--force-outcomes names site {site} twice")
+        forced[site] = bit
     return forced
+
+
+def _check_forced_measured(forced: dict[int, int], measured) -> None:
+    unmeasured = sorted(set(forced) - set(measured))
+    if unmeasured:
+        raise ValidationError(f"--force-outcomes names sites that are never measured: {unmeasured}")
 
 
 def _report(args, result: dict) -> dict:
@@ -111,13 +121,8 @@ def _backend_name(short: str) -> str:
 # -- subcommand bodies --------------------------------------------------------
 
 def _cmd_graph_state(args) -> dict:
-    if args.lattice:
-        spec = LatticeSpec.from_json_dict(_load_json(args.lattice))
-        graph = build_lattice(spec)
-    elif args.graph:
-        graph = Graph.from_json_dict(_load_json(args.graph))
-    else:
-        raise ValidationError("graph-state needs --lattice or --graph")
+    graph = (build_lattice(LatticeSpec.from_json_dict(_load_json(args.lattice)))
+             if args.lattice is not None else Graph.from_json_dict(_load_json(args.graph)))
     t = graph_state_tableau(graph)
     return {"graph": graph.to_json_dict(),
             "stabilizers": t.dump().split("\n") if graph.n_vertices else []}
@@ -126,9 +131,7 @@ def _cmd_graph_state(args) -> dict:
 def _cmd_run_pattern(args) -> dict:
     pattern = MeasurementPattern.from_json_dict(_load_json(args.pattern))
     forced = _parse_forced(args.force_outcomes)
-    unmeasured = sorted(set(forced) - set(pattern.measured_sites))
-    if unmeasured:
-        raise ValidationError(f"--force-outcomes names sites no command measures: {unmeasured}")
+    _check_forced_measured(forced, pattern.measured_sites)
     rec = run_pattern(pattern, backend=_backend_name(args.backend),
                       randomness=args.seed, forced=forced, cap=_resolve_cap(args))
     out_state = rec.output_state
@@ -198,8 +201,9 @@ def _cmd_slice(args) -> dict:
     holes = (HoleSpec.from_json_dict(_load_json(args.holes))
              if args.holes else HoleSpec())
     plan = carve_holes(layout, holes)
-    result = project_syndrome_layer(layout, randomness=args.seed, plan=plan,
-                                    forced=_parse_forced(args.force_outcomes))
+    forced = _parse_forced(args.force_outcomes)
+    result = project_syndrome_layer(layout, randomness=args.seed, plan=plan, forced=forced)
+    _check_forced_measured(forced, result.outcomes)
     out: dict = {"layout": layout.to_json_dict(),
                  "holes": holes.to_json_dict(),
                  "n_cluster_qubits": layout.n_cluster,
@@ -222,8 +226,10 @@ def _cmd_slice(args) -> dict:
 def _cmd_percolation(args) -> dict:
     if not (0.0 <= args.rate <= 1.0):
         raise ValidationError("defect rate must lie in [0, 1]")
+    if args.n_seeds < 1:
+        raise ValidationError(f"--n-seeds must be at least 1, got {args.n_seeds}")
     spec = LatticeSpec("grid2d", [args.rows, args.cols])
-    seeds = [args.seed + k for k in range(args.n_seeds)]
+    seeds = range(args.seed, args.seed + args.n_seeds)
     frac = spanning_probability(spec, args.rate, seeds, axis=args.axis)
     return {"rows": args.rows, "cols": args.cols, "defect_rate": args.rate,
             "axis": args.axis, "n_seeds": args.n_seeds,
@@ -250,8 +256,9 @@ def _build_parser() -> _CliParser:
             p.add_argument("--backend", choices=("sv", "stab"), default="sv")
 
     p = sub.add_parser("graph-state", help="build a graph state and dump stabilizers")
-    p.add_argument("--lattice", help="LatticeSpec JSON file")
-    p.add_argument("--graph", help="Graph JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lattice", help="LatticeSpec JSON file")
+    source.add_argument("--graph", help="Graph JSON file")
     common(p)
     p.set_defaults(func=_cmd_graph_state)
 
@@ -311,8 +318,8 @@ def main(argv=None) -> int:
     except (ValidationError, ContradictionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
-    except CapacityError as exc:
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _EXIT_CAPACITY
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

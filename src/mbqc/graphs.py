@@ -164,40 +164,19 @@ class DefectMask:
 def build_lattice(spec: LatticeSpec) -> Graph:
     """Build the named lattice graph with open boundaries.
 
-    chain -> path; star -> hub 0 joined to each leaf; grid2d/grid3d ->
-    nearest-neighbor rectangular lattice, row-major indexing.
+    star -> hub 0 joined to each leaf.  chain, grid2d and grid3d share one
+    rule on row-major indices: v joins v + stride along each axis while its
+    coordinate + 1 < dim, where stride is the product of the later dims.
     """
-    if spec.kind == "chain":
-        n = spec.dims[0]
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    n = spec.n_vertices
     if spec.kind == "star":
-        n = spec.dims[0]
         return Graph(n, [(0, i) for i in range(1, n)])
-    if spec.kind == "grid2d":
-        r, c = spec.dims
-        edges = []
-        for i in range(r):
-            for j in range(c):
-                v = i * c + j
-                if j + 1 < c:
-                    edges.append((v, v + 1))
-                if i + 1 < r:
-                    edges.append((v, v + c))
-        return Graph(r * c, edges)
-    # grid3d
-    a, b, c = spec.dims
-    edges = []
-    for i in range(a):
-        for j in range(b):
-            for k in range(c):
-                v = (i * b + j) * c + k
-                if k + 1 < c:
-                    edges.append((v, v + 1))
-                if j + 1 < b:
-                    edges.append((v, v + c))
-                if i + 1 < a:
-                    edges.append((v, v + b * c))
-    return Graph(a * b * c, edges)
+    idx = np.arange(n).reshape(spec.dims)
+    edges: list[tuple[int, int]] = []
+    for ax in range(idx.ndim):
+        stride = int(np.prod(spec.dims[ax + 1:]))
+        edges += [(v, v + stride) for v in np.delete(idx, -1, axis=ax).ravel().tolist()]
+    return Graph(n, edges)
 
 
 def _defect_hits(n: int, defect_rate: float, seed: int) -> np.ndarray:

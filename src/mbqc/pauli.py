@@ -105,6 +105,8 @@ def _mul_rows(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
     ignore signs) takes the product's sign bit; an imaginary product raises.
     ``rows`` must not hold the row that ``px``/``pz`` view.
     """
+    if rows.size == 0:
+        return
     nz = np.flatnonzero(px | pz)
     span = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
     px, pz = px[span], pz[span]

@@ -32,11 +32,18 @@ Teleportation: a second layer of code qubits, each linked only to its
 slice-1 partner, receives the projected code state under per-qubit
 Hadamards once the slice-1 code qubits are measured in X; every imposed
 check transports with the outcome signs predicted by H-conjugation.
+
+Both run one measurement pass, ``_measure_slice``: site ancillas in Z
+(row-major), face ancillas in their planned basis, the plan's ``code_z``
+in Z, then any extra measurements (teleportation's slice-1 X layer), all
+drawn from one ``OutcomeSource`` in that order.  Both then check signs
+through one loop, ``_sign_failures``.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ValidationError, json_int, json_object
@@ -218,7 +225,6 @@ class MeasurementPlan:
     face_bases: dict[tuple[int, int], str]
     code_z: tuple[int, ...]
     absent_checks: tuple[tuple[str, tuple[int, int]], ...]
-    holes: HoleSpec
 
 
 def carve_holes(layout: SliceLayout, holes: HoleSpec) -> MeasurementPlan:
@@ -254,7 +260,7 @@ def carve_holes(layout: SliceLayout, holes: HoleSpec) -> MeasurementPlan:
         code_z.append(layout.shared_edge(s0, s1))   # adjacency required
         absent.append(("A", s0))
         absent.append(("A", s1))
-    return MeasurementPlan(face_bases, tuple(code_z), tuple(absent), holes)
+    return MeasurementPlan(face_bases, tuple(code_z), tuple(absent))
 
 
 def check_operator(layout: SliceLayout, kind: str, pos: tuple[int, int],
@@ -297,8 +303,21 @@ class ProjectionResult:
         op = check_operator(self.layout, kind, pos)
         return self.code_tableau.stabilizer_group_contains(op)
 
-    def predicted(self, kind: str, pos: tuple[int, int]) -> int:
-        return predicted_sign(self.layout, kind, pos, self.outcomes)
+
+def _measure_slice(layout: SliceLayout, plan: MeasurementPlan, graph: Graph,
+                   keep: Sequence[int], src: OutcomeSource,
+                   extra: Sequence[tuple[int, str]] = ()
+                   ) -> tuple[dict[int, int], Tableau]:
+    """The one slice measurement pass: sites in Z, faces in their planned
+    basis, ``plan.code_z`` in Z, then ``extra`` (qubit, basis) pairs, in
+    that order on ``graph``'s state; returns the outcomes and the state
+    restricted to ``keep``."""
+    order = ([(layout.site_qubit(*s), "Z") for s in layout.all_sites()]
+             + [(layout.face_qubit(*f), plan.face_bases[f]) for f in layout.all_faces()]
+             + [(e, "Z") for e in plan.code_z] + list(extra))
+    t = graph_state_tableau(graph)
+    outcomes = {q: t.measure_pauli(basis, q, src) for q, basis in order}
+    return outcomes, extract_subtableau(t, keep)
 
 
 def project_syndrome_layer(layout: SliceLayout,
@@ -309,18 +328,9 @@ def project_syndrome_layer(layout: SliceLayout,
     tableau backend and return the projected code-qubit state."""
     if plan is None:
         plan = carve_holes(layout, HoleSpec())
-    src = as_outcome_source(randomness, forced=forced)
-    t = graph_state_tableau(build_slice_cluster(layout))
-    outcomes: dict[int, int] = {}
-    for (i, j) in layout.all_sites():
-        q = layout.site_qubit(i, j)
-        outcomes[q] = t.measure_pauli("Z", q, src)
-    for (i, j) in layout.all_faces():
-        q = layout.face_qubit(i, j)
-        outcomes[q] = t.measure_pauli(plan.face_bases[(i, j)], q, src)
-    for e in plan.code_z:
-        outcomes[e] = t.measure_pauli("Z", e, src)
-    code_tab = extract_subtableau(t, list(range(layout.n_code)))
+    outcomes, code_tab = _measure_slice(layout, plan, build_slice_cluster(layout),
+                                        list(range(layout.n_code)),
+                                        as_outcome_source(randomness, forced=forced))
     return ProjectionResult(outcomes, code_tab, plan, layout)
 
 
@@ -339,22 +349,30 @@ def imposed_rank(layout: SliceLayout, plan: MeasurementPlan) -> int:
     return symplectic_rank(ops)
 
 
+def _sign_failures(tab: Tableau,
+                   checks: Sequence[tuple[str, PauliString, Optional[int]]]) -> list[dict]:
+    """The one sign-check loop over (label, operator, wanted sign or None
+    for a holed check that must be absent) triples."""
+    failures = []
+    for label, op, want in checks:
+        got = tab.stabilizer_group_contains(op)
+        if got != want:
+            failures.append({"check": label, "got": got, "want": want} if want is not None
+                            else {"check": label, "got": "present", "want": "absent"})
+    return failures
+
+
 def verify_projection(result: ProjectionResult) -> dict:
     """Membership + sign check for every non-holed stabilizer, absence for
     holed ones; returns a report dict (used by tests and the CLI)."""
     layout, plan = result.layout, result.plan
-    failures = []
-    for kind, pos in present_checks(layout, plan):
-        got = result.check_sign(kind, pos)
-        want = result.predicted(kind, pos)
-        if got != want:
-            failures.append({"check": f"{kind}{pos}", "got": got, "want": want})
-    for kind, pos in plan.absent_checks:
-        if result.check_sign(kind, pos) is not None:
-            failures.append({"check": f"{kind}{pos}", "got": "present",
-                             "want": "absent"})
-    return {"passed": not failures, "failures": failures,
-            "n_checks": len(present_checks(layout, plan)) + len(plan.absent_checks)}
+    checks = [(f"{kind}{pos}", check_operator(layout, kind, pos),
+               predicted_sign(layout, kind, pos, result.outcomes))
+              for kind, pos in present_checks(layout, plan)]
+    checks += [(f"{kind}{pos}", check_operator(layout, kind, pos), None)
+               for kind, pos in plan.absent_checks]
+    failures = _sign_failures(result.code_tableau, checks)
+    return {"passed": not failures, "failures": failures, "n_checks": len(checks)}
 
 
 # -- logical operators -------------------------------------------------------
@@ -382,23 +400,11 @@ def _shortest_path(start: tuple[int, int], goal: tuple[int, int],
     return path[::-1]
 
 
-def _site_path(layout: SliceLayout, s0: tuple[int, int], s1: tuple[int, int]
-               ) -> list[tuple[int, int]]:
-    """Shortest site path between two lattice sites."""
-    return _shortest_path(tuple(s0), tuple(s1),
-                          lambda s: sorted(layout.site_neighbors(*s)),
-                          "no path between the hole sites")
-
-
-def _dual_path(layout: SliceLayout, p0: tuple[int, int], p1: tuple[int, int]
-               ) -> list[tuple[int, int]]:
-    """Shortest face path (faces adjacent when they share an edge)."""
-    def faces_around(f):
-        i, j = f
-        return sorted((a, b) for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-                      if 0 <= a < layout.code_rows and 0 <= b < layout.code_cols)
-    return _shortest_path(tuple(p0), tuple(p1), faces_around,
-                          "no dual path between the hole faces")
+def _face_neighbors(layout: SliceLayout, f: tuple[int, int]) -> list[tuple[int, int]]:
+    """Faces sharing an edge with ``f``, sorted."""
+    i, j = f
+    return sorted((a, b) for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                  if 0 <= a < layout.code_rows and 0 <= b < layout.code_cols)
 
 
 def _face_shared_edge(layout: SliceLayout, f0: tuple[int, int],
@@ -422,30 +428,25 @@ def logical_operators(layout: SliceLayout, holes: HoleSpec, kind: str,
     X-bar an X-string along a dual path from p to p'.  ``path`` overrides
     the auto-routed site path (electric) or face path (magnetic).
     """
-    n = layout.n_code
-    if kind == "electric":
-        if len(holes.electric) != 2:
-            raise ValidationError("electric qubit needs exactly two electric holes")
-        s0, s1 = holes.electric
-        sites = [tuple(p) for p in path] if path else _site_path(layout, s0, s1)
-        if sites[0] != tuple(s0) or sites[-1] != tuple(s1):
-            raise ValidationError("path must run from the first hole to the second")
-        zbar = PauliString.from_support(
-            n, z_on=[layout.shared_edge(a, b) for a, b in zip(sites, sites[1:])])
-        xbar = check_operator(layout, "A", s0)
-        return zbar, xbar
-    if kind == "magnetic":
-        if len(holes.magnetic) != 2:
-            raise ValidationError("magnetic qubit needs exactly two magnetic holes")
-        p0, p1 = holes.magnetic
-        zbar = check_operator(layout, "B", p0)
-        faces = [tuple(p) for p in path] if path else _dual_path(layout, p0, p1)
-        if faces[0] != tuple(p0) or faces[-1] != tuple(p1):
-            raise ValidationError("path must run from the first hole to the second")
-        xbar = PauliString.from_support(
-            n, x_on=[_face_shared_edge(layout, a, b) for a, b in zip(faces, faces[1:])])
-        return zbar, xbar
-    raise ValidationError("encoded qubit kind must be 'electric' or 'magnetic'")
+    if kind not in ("electric", "magnetic"):
+        raise ValidationError("encoded qubit kind must be 'electric' or 'magnetic'")
+    pair = getattr(holes, kind)
+    if len(pair) != 2:
+        raise ValidationError(f"{kind} qubit needs exactly two {kind} holes")
+    h0, h1 = pair
+    electric = kind == "electric"
+    neighbors, join = ((lambda s: sorted(layout.site_neighbors(*s)), layout.shared_edge)
+                       if electric else
+                       (partial(_face_neighbors, layout), partial(_face_shared_edge, layout)))
+    cells = ([tuple(p) for p in path] if path else
+             _shortest_path(h0, h1, neighbors, f"no path between the {kind} holes"))
+    if cells[0] != h0 or cells[-1] != h1:
+        raise ValidationError("path must run from the first hole to the second")
+    edges = [join(a, b) for a, b in zip(cells, cells[1:])]
+    loop = check_operator(layout, "A" if electric else "B", h0)
+    if electric:
+        return PauliString.from_support(layout.n_code, z_on=edges), loop
+    return loop, PauliString.from_support(layout.n_code, x_on=edges)
 
 
 # -- slice-to-slice teleportation ---------------------------------------------
@@ -455,13 +456,9 @@ def build_two_slice_cluster(layout: SliceLayout,
     """Slice 1 (full) plus a second layer of code qubits, each linked to
     its slice-1 partner; ``drop_link`` removes one inter-slice edge (the
     negative control)."""
-    base = build_slice_cluster(layout)
     n1 = layout.n_cluster
-    edges = list(base.edges)
-    for e in range(layout.n_code):
-        if e == drop_link:
-            continue
-        edges.append((e, n1 + e))
+    edges = list(build_slice_cluster(layout).edges)
+    edges += [(e, n1 + e) for e in range(layout.n_code) if e != drop_link]
     return Graph(n1 + layout.n_code, edges)
 
 
@@ -479,34 +476,18 @@ def teleport_slice(layout: SliceLayout,
                    drop_link: Optional[int] = None) -> TeleportReport:
     """Project slice 1, X-measure its code qubits, and verify that every
     check lands on slice 2 Hadamard-conjugated with the predicted signs."""
-    src = as_outcome_source(randomness, forced=forced)
-    g = build_two_slice_cluster(layout, drop_link=drop_link)
-    t = graph_state_tableau(g)
     n1 = layout.n_cluster
-    outcomes: dict[int, int] = {}
-    for (i, j) in layout.all_sites():
-        q = layout.site_qubit(i, j)
-        outcomes[q] = t.measure_pauli("Z", q, src)
-    for (i, j) in layout.all_faces():
-        q = layout.face_qubit(i, j)
-        outcomes[q] = t.measure_pauli("X", q, src)
-    for e in range(layout.n_code):
-        outcomes[e] = t.measure_pauli("X", e, src)
-
-    slice2 = [n1 + e for e in range(layout.n_code)]
-    code_tab = extract_subtableau(t, slice2)
-
-    failures = []
-    checks = present_checks(layout, carve_holes(layout, HoleSpec()))
-    for kind, pos in checks:
+    plan = carve_holes(layout, HoleSpec())
+    outcomes, code_tab = _measure_slice(
+        layout, plan, build_two_slice_cluster(layout, drop_link=drop_link),
+        [n1 + e for e in range(layout.n_code)], as_outcome_source(randomness, forced=forced),
+        extra=[(e, "X") for e in range(layout.n_code)])
+    checks = []
+    for kind, pos in present_checks(layout, plan):
         base = check_operator(layout, kind, pos)
-        sign = predicted_sign(layout, kind, pos, outcomes)
-        # transport: H per qubit (X<->Z) and an X^w sign for X-support
-        transported = PauliString(layout.n_code, base.z.copy(), base.x.copy(), +1)
-        if kind == "A":
-            for e in layout.site_edges(*pos):
-                sign *= -1 if outcomes[e] else +1
-        got = code_tab.stabilizer_group_contains(transported)
-        if got != sign:
-            failures.append({"check": f"{kind}{pos}", "got": got, "want": sign})
+        # transport: H per qubit (X<->Z) and an X^w sign for the X-support
+        w = sum(outcomes[e] for e in layout.site_edges(*pos)) if kind == "A" else 0
+        checks.append((f"{kind}{pos}", PauliString(layout.n_code, base.z, base.x),
+                       predicted_sign(layout, kind, pos, outcomes) * (-1) ** w))
+    failures = _sign_failures(code_tab, checks)
     return TeleportReport(not failures, failures, outcomes, len(checks))

@@ -108,13 +108,28 @@ def test_force_outcomes_takes_only_bits(subcommand, entry, files, capsys):
     _assert_input_rejected(argv + ["--force-outcomes", entry], capsys)
 
 
-@pytest.mark.parametrize("site", ["999", "-1", "output"])
-def test_force_outcomes_rejects_a_site_no_command_measures(site, files, capsys):
-    pat = _measured_pattern(files, capsys)
-    if site == "output":
-        site = str(json.loads(pat.read_text())["outputs"][0])
-    _assert_input_rejected(["run-pattern", "--pattern", str(pat), "--backend", "stab",
-                            "--force-outcomes", f"{site}=1"], capsys)
+@pytest.mark.parametrize("subcommand,entries", [
+    pytest.param("run-pattern", "999=1", id="999"),
+    pytest.param("run-pattern", "-1=1", id="-1"),
+    pytest.param("run-pattern", "{output}=1", id="output"),
+    pytest.param("run-pattern", "{measured}=1,{measured}=0", id="run-pattern-site-twice"),
+    pytest.param("slice", "999=1", id="slice-999"),
+    pytest.param("slice", "-1=1", id="slice--1"),
+    pytest.param("slice", "0=1", id="slice-code-qubit"),
+    pytest.param("slice", "12=1,12=0", id="slice-site-twice"),
+])
+def test_force_outcomes_rejects_a_site_no_command_measures(subcommand, entries, files, capsys):
+    # slice: the 2x2 layout's code qubits 0..11 are never measured; 12 is
+    # the (0, 0) site ancilla, which is, so only naming it twice is wrong
+    if subcommand == "slice":
+        argv = ["slice", "--layout", str(files["layout"])]
+    else:
+        pat = _measured_pattern(files, capsys)
+        doc = json.loads(pat.read_text())
+        entries = entries.format(output=doc["outputs"][0],
+                                 measured=doc["commands"][0]["site"])
+        argv = ["run-pattern", "--pattern", str(pat), "--backend", "stab"]
+    _assert_input_rejected(argv + [f"--force-outcomes={entries}"], capsys)
 
 
 def test_stdout_is_the_json_out_report_plus_wall_time(files, capsys):
@@ -163,6 +178,7 @@ def test_percolation_needs_at_least_one_seed(n_seeds, capsys):
                  "--n-seeds", n_seeds]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert err.rstrip().endswith(f"got {n_seeds}")
 
 
 def _assert_input_rejected(argv, capsys):
@@ -475,6 +491,11 @@ def test_exit_code_capacity(files, capsys):
          "h": {str(v): 0.0 for v in range(n)}, "beta": 1.0}))
     assert main(["partition", "--model", str(big), "--method", "brute"]) == 3
     capsys.readouterr()
+    # 10^18 sites: the first allocation already fails, so nothing is allocated
+    assert main(["percolation", "--rate", "0.5", "--rows", "1000000000",
+                 "--cols", "1000000000", "--n-seeds", "1"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("capacity exceeded:")
 
 
 def test_exit_code_verification(files, capsys):
@@ -516,8 +537,11 @@ def test_branches_takes_the_statevector_cap(files, capsys, monkeypatch):
 
 
 def test_flags_a_subcommand_does_not_take_are_usage_errors(files, capsys):
+    (files["tmp"] / "g.json").write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
     for argv in (["compile", "--circuit", str(files["circuit"]), "--cap", "3"],
                  ["graph-state", "--lattice", str(files["lattice"]), "--backend", "sv"],
+                 ["graph-state", "--lattice", str(files["lattice"]), "--graph",
+                  str(files["tmp"] / "g.json")],
                  ["graph-state", "--lattice", str(files["lattice"]), "--cap", "3"],
                  ["slice", "--layout", str(files["layout"]), "--cap", "3"],
                  ["percolation", "--rate", "0.3", "--cap", "3"],

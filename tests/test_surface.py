@@ -5,7 +5,7 @@ from mbqc.errors import ValidationError
 from mbqc.graphs import Graph
 from mbqc.pauli import symplectic_rank
 from mbqc.statevector import graph_state_vector, measure_angle, pauli_expectation
-from mbqc.surface import (HoleSpec, SliceLayout,
+from mbqc.surface import (HoleSpec, ProjectionResult, SliceLayout,
                           build_slice_cluster, build_two_slice_cluster,
                           carve_holes, check_operator, imposed_rank,
                           logical_operators, predicted_sign, present_checks,
@@ -138,6 +138,12 @@ def test_magnetic_hole_removes_exactly_one_plaquette():
     assert report["passed"]
     # two absent independent plaquettes: rank drops by exactly 2
     assert imposed_rank(L, plan) == L.n_code - 2
+    # holed plaquettes still present in an un-holed projection are reported
+    plain = project_syndrome_layer(L, randomness=3)
+    report = verify_projection(ProjectionResult(plain.outcomes, plain.code_tableau, plan, L))
+    assert report["failures"] == [{"check": "B(0, 0)", "got": "present", "want": "absent"},
+                                  {"check": "B(1, 1)", "got": "present", "want": "absent"}]
+    assert report["n_checks"] == L.n_sites + L.n_faces
 
 
 def test_electric_pair_removes_two_stars():
@@ -234,6 +240,11 @@ def test_teleport_negative_control():
     L = SliceLayout(1, 2)
     rep = teleport_slice(L, randomness=3, drop_link=0)
     assert not rep.passed
+    assert rep.n_checks == L.n_sites + L.n_faces
+    labels = {f"{k}{p}" for k, p in present_checks(L, carve_holes(L, HoleSpec()))}
+    for f in rep.failures:
+        assert set(f) == {"check", "got", "want"} and f["check"] in labels
+        assert f["want"] in (+1, -1) and f["got"] in (+1, -1, None) and f["got"] != f["want"]
 
 
 def test_layout_json():
