@@ -118,14 +118,18 @@ def _backend_name(short: str) -> str:
     return {"sv": "statevector", "stab": "stabilizer"}[short]
 
 
+def _stabilizer_texts(t: Tableau) -> list[str]:
+    """One text row per stabilizer: [] for 0 qubits, whose dump is ""."""
+    return t.dump().split("\n") if t.n else []
+
+
 # -- subcommand bodies --------------------------------------------------------
 
 def _cmd_graph_state(args) -> dict:
     graph = (build_lattice(LatticeSpec.from_json_dict(_load_json(args.lattice)))
              if args.lattice is not None else Graph.from_json_dict(_load_json(args.graph)))
-    t = graph_state_tableau(graph)
     return {"graph": graph.to_json_dict(),
-            "stabilizers": t.dump().split("\n") if graph.n_vertices else []}
+            "stabilizers": _stabilizer_texts(graph_state_tableau(graph))}
 
 
 def _cmd_run_pattern(args) -> dict:
@@ -134,15 +138,14 @@ def _cmd_run_pattern(args) -> dict:
     _check_forced_measured(forced, pattern.measured_sites)
     rec = run_pattern(pattern, backend=_backend_name(args.backend),
                       randomness=args.seed, forced=forced, cap=_resolve_cap(args))
-    out_state = rec.output_state
-    state_repr = (out_state.dump().split("\n") if isinstance(out_state, Tableau)
-                  else {"n": out_state.n})
+    out = rec.output_state
     return {"outcomes": {str(k): v for k, v in sorted(rec.outcomes.items())},
             "frame": rec.frame.to_json_dict(),
             "probability": rec.probability,
             "log2_probability": rec.log2_probability,
             "output_sites": list(rec.output_sites),
-            "output_state": state_repr}
+            "output_state": (_stabilizer_texts(out) if isinstance(out, Tableau)
+                             else {"n": out.n})}
 
 
 def _cmd_branches(args) -> dict:

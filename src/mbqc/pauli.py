@@ -101,9 +101,11 @@ def _mul_rows(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
     """Left-multiply the packed Pauli (px, pz, psign) into ``rows`` in place.
 
     Only the word span from the first to the last nonzero word of
-    ``px | pz`` changes, so only that span is gathered.  ``signs`` (None to
-    ignore signs) takes the product's sign bit; an imaginary product raises.
-    ``rows`` must not hold the row that ``px``/``pz`` view.
+    ``px | pz`` changes, so only that span is gathered.  ``signs`` (None for
+    none) holds the sign bits of the last ``len(signs)`` rows; only those
+    rows get a phase, so unsigned rows (a tableau's destabilizers, whose
+    signs nothing reads) cost just the XOR.  An imaginary signed product
+    raises.  ``rows`` is ascending and omits the row ``px``/``pz`` view.
     """
     if rows.size == 0:
         return
@@ -112,10 +114,12 @@ def _mul_rows(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
     px, pz = px[span], pz[span]
     x2, z2 = xs[rows, span], zs[rows, span]
     if signs is not None:
-        e = phase_exponent_mod4(px, pz, x2, z2)
+        off = len(xs) - len(signs)
+        k = int(np.searchsorted(rows, off))
+        e = phase_exponent_mod4(px, pz, x2[k:], z2[k:])
         if np.any(e & 1):
             raise VerificationError("product has imaginary sign")
-        signs[rows] ^= (e >> 1).astype(np.uint8) ^ np.uint8(psign)
+        signs[rows[k:] - off] ^= (e >> 1).astype(np.uint8) ^ np.uint8(psign)
     xs[rows, span] = x2 ^ px
     zs[rows, span] = z2 ^ pz
 

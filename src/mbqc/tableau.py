@@ -1,22 +1,26 @@
 """Stabilizer tableau backend: Clifford gates and Pauli-basis measurements.
 
 The tableau keeps ``n`` destabilizer rows (indices ``0..n-1``) and ``n``
-stabilizer rows (``n..2n-1``), each a bit-packed Pauli with a sign bit.
-Row ``i`` of the destabilizers anticommutes with stabilizer row ``i`` only,
-and rows of one kind commute; all updates preserve this pairing, which is
-what makes measurement updates O(n*w) word operations.
+stabilizer rows (``n..2n-1``), each a bit-packed Pauli.  Row ``i`` of the
+destabilizers anticommutes with stabilizer row ``i`` only, and rows of one
+kind commute; all updates preserve this pairing, which is what makes
+measurement updates O(n*w) word operations.  Only stabilizer rows carry a
+sign: destabilizers serve through their x/z bits alone (which stabilizer
+rows a measurement or membership test involves), so no result reads their
+signs, and their sign bits stay 0.
 
 Every Pauli question starts from one anticommutation column: which of the
 2n rows anticommute with the observable (read from the z bits for X, the
 x bits for Z).  If a stabilizer row does, a measurement gives a fair
 random (or forced) outcome, and the pivot row is multiplied into the
-other anticommuting rows by ``pauli._mul_rows`` over its word span only.
-Otherwise the observable is ``+/-`` a group member, and one
-membership routine answers both "what is the deterministic outcome?" and
-"is ``+/-P`` in the stabilizer group?": the destabilizers that anticommute
-with P select the stabilizer rows whose product must equal P, and the
-product's sign is the answer.  A deterministic outcome is read this way
-before any randomness is consumed.
+other anticommuting rows by ``pauli._mul_rows`` over its word span only,
+with a phase computed for the stabilizer rows alone.  Otherwise the
+observable is ``+/-`` a group member, and one membership routine answers
+both "what is the deterministic outcome?" and "is ``+/-P`` in the
+stabilizer group?": the destabilizers that anticommute with P select the
+stabilizer rows whose product must equal P, and the product's sign is the
+answer.  A deterministic outcome is read this way before any randomness
+is consumed.
 
 Output extraction stays packed: ``_mul_rows`` elimination, then destabilizer
 completion by whole-row XORs; ``pauli.anticommuting`` is every whole-row
@@ -43,7 +47,8 @@ DEBUG_CHECKS = False
 
 
 class Tableau:
-    """Mutable stabilizer + destabilizer tableau for ``n`` qubits."""
+    """Mutable stabilizer + destabilizer tableau for ``n`` qubits.  ``signs``
+    has 2n entries; the destabilizer half stays 0, as no result reads it."""
 
     __slots__ = ("n", "w", "xs", "zs", "signs")
 
@@ -68,9 +73,7 @@ class Tableau:
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
         t.n, t.w = self.n, self.w
-        t.xs = self.xs.copy()
-        t.zs = self.zs.copy()
-        t.signs = self.signs.copy()
+        t.xs, t.zs, t.signs = self.xs.copy(), self.zs.copy(), self.signs.copy()
         return t
 
     # -- row access -------------------------------------------------------
@@ -80,8 +83,7 @@ class Tableau:
                            -1 if self.signs[self.n + i] else +1)
 
     def destabilizer_row(self, i: int) -> PauliString:
-        return PauliString(self.n, self.xs[i].copy(), self.zs[i].copy(),
-                           -1 if self.signs[i] else +1)
+        return PauliString(self.n, self.xs[i].copy(), self.zs[i].copy())
 
     def stabilizer_rows(self) -> list[PauliString]:
         return [self.stabilizer_row(i) for i in range(self.n)]
@@ -107,35 +109,27 @@ class Tableau:
         if len(targets) != one_qubit[gate]:
             raise ValidationError(f"{gate} takes {one_qubit[gate]} target(s)")
 
-        if gate in ("H", "S", "X", "Y", "Z"):
-            q = targets[0]
-            xcol, zcol = column(self.xs, q), column(self.zs, q)
-            if gate == "H":
-                self.signs ^= (xcol & zcol).astype(np.uint8)
-                xor_column(self.xs, q, xcol ^ zcol)
-                xor_column(self.zs, q, xcol ^ zcol)
-            elif gate == "S":
-                self.signs ^= (xcol & zcol).astype(np.uint8)
-                xor_column(self.zs, q, xcol)
-            elif gate == "X":
-                self.signs ^= zcol.astype(np.uint8)
-            elif gate == "Z":
-                self.signs ^= xcol.astype(np.uint8)
-            else:  # Y
-                self.signs ^= (xcol ^ zcol).astype(np.uint8)
-            if DEBUG_CHECKS:
-                self.check_invariants()
-            return self
-
-        a, b = targets
+        n, a, b = self.n, targets[0], targets[-1]
         xa, za = column(self.xs, a), column(self.zs, a)
         xb, zb = column(self.xs, b), column(self.zs, b)
-        if gate == "CNOT":
-            self.signs ^= (xa & zb & ~(xb ^ za)).astype(np.uint8)
+        if gate in ("H", "S"):
+            flip = xa & za
+        elif gate == "CNOT":
+            flip = xa & zb & ~(xb ^ za)
+        elif gate == "CZ":
+            flip = xa & xb & (za ^ zb)
+        else:                                   # a Pauli: the rows it anticommutes with
+            flip = {"X": za, "Y": xa ^ za, "Z": xa}[gate]
+        self.signs[n:] ^= flip[n:].astype(np.uint8)     # destabilizers carry no sign
+        if gate == "H":
+            xor_column(self.xs, a, xa ^ za)
+            xor_column(self.zs, a, xa ^ za)
+        elif gate == "S":
+            xor_column(self.zs, a, xa)
+        elif gate == "CNOT":
             xor_column(self.xs, b, xa)
             xor_column(self.zs, a, zb)
-        else:  # CZ
-            self.signs ^= (xa & xb & (za ^ zb)).astype(np.uint8)
+        elif gate == "CZ":
             xor_column(self.zs, a, xb)
             xor_column(self.zs, b, xa)
         if DEBUG_CHECKS:
@@ -178,11 +172,10 @@ class Tableau:
             m = src.choose(qubit, 0.5)
             rows = np.flatnonzero(anti)
             rows = rows[(rows != p) & (rows != p - self.n)]
-            _mul_rows(self.xs, self.zs, self.signs, rows, self.xs[p], self.zs[p],
+            _mul_rows(self.xs, self.zs, self.signs[self.n:], rows, self.xs[p], self.zs[p],
                       int(self.signs[p]))
-            # old pivot becomes the paired destabilizer; pivot becomes +/-P
-            d = p - self.n
-            self.xs[d], self.zs[d], self.signs[d] = self.xs[p], self.zs[p], self.signs[p]
+            # old pivot becomes the paired destabilizer, unsigned; pivot becomes +/-P
+            self.xs[p - self.n], self.zs[p - self.n] = self.xs[p], self.zs[p]
             self.xs[p], self.zs[p], self.signs[p] = obs.x, obs.z, m
             if DEBUG_CHECKS:
                 self.check_invariants()
@@ -206,8 +199,7 @@ class Tableau:
         returns (x, z, i-exponent mod 4).
         """
         if sel.size == 0:
-            return (np.zeros(self.w, dtype=np.uint64),
-                    np.zeros(self.w, dtype=np.uint64), 0)
+            return np.zeros(self.w, dtype=np.uint64), np.zeros(self.w, dtype=np.uint64), 0
         idx = self.n + sel
         xs, zs, ph = self.xs[idx], self.zs[idx], 2 * self.signs[idx].astype(np.int64)
         while len(xs) > 1:
@@ -253,13 +245,15 @@ class Tableau:
         return -1 if s ^ p.sign_bit else +1
 
     def check_invariants(self) -> None:
-        """Assert the commutation structure (debug aid), one packed popcount
-        per row: stabilizer rows commute pairwise, so do destabilizer rows, and
-        destabilizer ``i`` anticommutes with stabilizer ``j`` iff ``i == j``.
-        That pairing makes the stabilizer rows independent, so no rank check.
+        """Assert the tableau's structure (debug aid), one packed popcount per
+        row: no destabilizer has a sign, stabilizer rows commute pairwise, so do
+        destabilizer rows, and destabilizer ``i`` anticommutes with stabilizer
+        ``j`` iff ``i == j``, which makes the stabilizer rows independent.
         """
         n = self.n
         for i in range(n):
+            if self.signs[i]:
+                raise VerificationError(f"destabilizer row {i} has a sign")
             anti = anticommuting(self.xs, self.zs, self.xs[n + i], self.zs[n + i])
             bad = np.flatnonzero(anti[n:])
             if bad.size:
@@ -288,8 +282,7 @@ def measure_pauli(t: Tableau, basis: str, qubit: int,
                   forced: Optional[int] = None) -> tuple[int, Tableau]:
     """Functional wrapper around ``Tableau.measure_pauli``."""
     out = t.copy()
-    m = out.measure_pauli(basis, qubit, randomness, forced)
-    return m, out
+    return out.measure_pauli(basis, qubit, randomness, forced), out
 
 
 def tableau_to_statevector(t: Tableau, cap: int = 14):

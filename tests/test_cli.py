@@ -61,6 +61,25 @@ def test_graph_state_dump(files, capsys):
     assert rep["result"]["stabilizers"][0] == "+XZZZ"
 
 
+def test_graph_state_of_an_empty_graph_has_no_stabilizers(files, capsys):
+    graph = files["tmp"] / "empty.json"
+    graph.write_text(json.dumps({"n": 0, "edges": []}))
+    code, rep = run_cli(["graph-state", "--graph", str(graph)], capsys)
+    assert code == 0
+    assert rep["result"]["stabilizers"] == []
+
+
+def test_zero_output_stabilizer_run_has_no_stabilizers(files, capsys):
+    pat = files["tmp"] / "no_outputs.json"
+    pat.write_text(json.dumps({"resource": {"n": 2, "edges": [[0, 1]]}, "inputs": [],
+                               "outputs": [], "commands": [{"site": 0, "plane": "XY"},
+                                                           {"site": 1, "plane": "XY"}]}))
+    code, rep = run_cli(["run-pattern", "--pattern", str(pat), "--backend", "stab",
+                         "--seed", "1"], capsys)
+    assert code == 0
+    assert rep["result"]["output_sites"] == [] and rep["result"]["output_state"] == []
+
+
 def test_compile_then_branches_and_run(files, capsys):
     pat = files["tmp"] / "pattern.json"
     code, rep = run_cli(["compile", "--circuit", str(files["circuit"]),

@@ -207,17 +207,23 @@ def _rows_and_pivot(n, lo, hi, rng, commuting=True):
 @pytest.mark.parametrize("n,lo,hi", [(130, 0, 5),        # first word
                                      (130, 128, 130),    # last, partial word
                                      (130, 60, 70),      # across a word boundary
-                                     (65, 0, 65)])       # every word
-@pytest.mark.parametrize("with_signs", [True, False])
+                                     (65, 0, 65),        # every word
+                                     (200, 60, 140)])    # across two word boundaries
+@pytest.mark.parametrize("with_signs", [True, False, "mixed"])
 def test_mul_rows_matches_full_width_reference(n, lo, hi, with_signs):
+    """Signs for every row, for none (None), or ("mixed") for rows 25.. only,
+    as a tableau signs its stabilizer half and not its destabilizers."""
     rng = np.random.default_rng([n, lo, hi])
     xs, zs, signs, rows, px, pz = _rows_and_pivot(n, lo, hi, rng)
+    first = {True: 0, False: len(xs), "mixed": 25}[with_signs]     # first signed row
+    assert rows[0] < first <= rows[-1] or with_signs != "mixed"
     before = signs.copy()
     want = xs.copy(), zs.copy(), signs.copy()
     mul_rows_full_width(*want, rows, px, pz, 1)
-    _mul_rows(xs, zs, signs if with_signs else None, rows, px, pz, 1)
+    _mul_rows(xs, zs, None if with_signs is False else signs[first:], rows, px, pz, 1)
     assert np.array_equal(xs, want[0]) and np.array_equal(zs, want[1])
-    assert np.array_equal(signs, want[2] if with_signs else before)
+    assert np.array_equal(signs[:first], before[:first])
+    assert np.array_equal(signs[first:], want[2][first:])
 
 
 def test_mul_rows_rejects_an_imaginary_product():

@@ -5,7 +5,7 @@ from conftest import mul_rows_full_width, random_graph
 from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern
 from mbqc.errors import ContradictionError, ValidationError
 from mbqc.graphs import Graph
-from mbqc.pauli import PauliString, unpack_bits
+from mbqc.pauli import PauliString, pack_bits, unpack_bits
 from mbqc.rng import PROB_TOL, OutcomeSource, make_rng
 from mbqc.statevector import (StateVector, fidelity_up_to_phase, graph_state_vector,
                               measure_angle, measure_probability)
@@ -335,10 +335,12 @@ def test_destabilizer_completion_matches_per_element_reference(nk, source):
     assert np.array_equal(gram, np.block([[0 * eye, eye], [eye, 0 * eye]]))
 
 
-def _measure_full_width(t, basis, q, m):
+def _measure_full_width(t, basis, q, m, sign_destabilizers=False):
     """Reference update for outcome ``m`` of a Pauli measurement: the same
     pivot rule as ``measure_pauli``, with full-width row products and
-    columns read from unpacked bits."""
+    columns read from unpacked bits.  Destabilizer rows multiply, and the
+    pivot's old row moves into its destabilizer slot, without a sign unless
+    ``sign_destabilizers`` (every row signed, as in the textbook update)."""
     n = t.n
     xo, zo = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[basis]
     anti = ((zo * unpack_bits(t.xs, n)[:, q]) ^ (xo * unpack_bits(t.zs, n)[:, q])) != 0
@@ -346,11 +348,61 @@ def _measure_full_width(t, basis, q, m):
         return
     p = n + int(np.flatnonzero(anti[n:])[0])
     rows = np.array([r for r in np.flatnonzero(anti) if r not in (p, p - n)], dtype=np.int64)
-    mul_rows_full_width(t.xs, t.zs, t.signs, rows, t.xs[p].copy(), t.zs[p].copy(),
-                        int(t.signs[p]))
-    t.xs[p - n], t.zs[p - n], t.signs[p - n] = t.xs[p], t.zs[p], t.signs[p]
+    signed = rows if sign_destabilizers else rows[rows >= n]
+    px, pz = t.xs[p].copy(), t.zs[p].copy()
+    unsigned = np.setdiff1d(rows, signed)
+    t.xs[unsigned] ^= px
+    t.zs[unsigned] ^= pz
+    mul_rows_full_width(t.xs, t.zs, t.signs, signed, px, pz, int(t.signs[p]))
+    t.xs[p - n], t.zs[p - n] = t.xs[p], t.zs[p]
+    t.signs[p - n] = t.signs[p] if sign_destabilizers else 0
     obs = PauliString.single(n, q, basis)
     t.xs[p], t.zs[p], t.signs[p] = obs.x, obs.z, m
+
+
+def _clifford_full_width(t, gate, targets):
+    """Reference gate update on unpacked bits that signs every row."""
+    n, a, b = t.n, targets[0], targets[-1]
+    x, z = unpack_bits(t.xs, n), unpack_bits(t.zs, n)
+    xa, za, xb, zb = x[:, a].copy(), z[:, a].copy(), x[:, b].copy(), z[:, b].copy()
+    t.signs ^= {"H": xa & za, "S": xa & za, "X": za, "Z": xa, "Y": xa ^ za,
+                "CNOT": xa & zb & (1 ^ xb ^ za), "CZ": xa & xb & (za ^ zb)}[gate]
+    if gate == "H":
+        x[:, a], z[:, a] = za, xa
+    elif gate == "S":
+        z[:, a] ^= xa
+    elif gate == "CNOT":
+        x[:, b] ^= xa
+        z[:, a] ^= zb
+    elif gate == "CZ":
+        z[:, a] ^= xb
+        z[:, b] ^= xa
+    t.xs[:], t.zs[:] = pack_bits(x), pack_bits(z)
+
+
+@pytest.mark.parametrize("n", [65, 130, 300])
+def test_unsigned_destabilizers_leave_the_stabilizer_half_unchanged(n):
+    """Random gates and X/Y/Z measurements against a reference that signs
+    every row: the stabilizer rows and signs agree bit for bit, and so do
+    the destabilizer x/z rows, while no destabilizer sign is ever set."""
+    rng = np.random.default_rng([n, 13])
+    t = Tableau.plus_state(n)
+    ref = t.copy()
+    src = OutcomeSource(rng=rng)
+    for _ in range(2 * n):
+        gate = str(rng.choice(["H", "S", "X", "Y", "Z", "CZ", "CNOT"] + ["measure"] * 7))
+        if gate == "measure":
+            basis, q = str(rng.choice(["X", "Y", "Z"])), int(rng.integers(n))
+            _measure_full_width(ref, basis, q, t.measure_pauli(basis, q, src),
+                                sign_destabilizers=True)
+        else:
+            targets = [int(q) for q in rng.permutation(n)[:2 if gate in ("CZ", "CNOT") else 1]]
+            t.apply_clifford(gate, targets)
+            _clifford_full_width(ref, gate, targets)
+    assert np.array_equal(t.xs, ref.xs) and np.array_equal(t.zs, ref.zs)
+    assert np.array_equal(t.signs[n:], ref.signs[n:])
+    assert not t.signs[:n].any() and ref.signs[:n].any()
+    t.check_invariants()
 
 
 @pytest.mark.parametrize("n", [65, 130, 300])
@@ -453,6 +505,14 @@ def test_check_invariants_catches_anticommuting_destabilizers(rng):
     t.xs[i] ^= t.xs[n + j]
     t.zs[i] ^= t.zs[n + j]
     with pytest.raises(VerificationError, match=f"destabilizer rows {i},{j} anticommute"):
+        t.check_invariants()
+
+
+def test_check_invariants_catches_a_destabilizer_sign(rng):
+    from mbqc.errors import VerificationError
+    t = _scrambled_tableau(70, rng, 30)
+    t.signs[5] = 1
+    with pytest.raises(VerificationError, match="destabilizer row 5 has a sign"):
         t.check_invariants()
 
 
