@@ -72,6 +72,13 @@ def xor_column(words: np.ndarray, q: int, bits: np.ndarray) -> None:
     words[:, q >> 6] ^= bits << np.uint64(q & 63)
 
 
+def lone_qubits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The packed rows with exactly one bit set, and the qubit of that bit."""
+    rows = np.flatnonzero(np.bitwise_count(words).sum(axis=-1) == 1)
+    word = np.argmax(words[rows] != 0, axis=-1)
+    return rows, WORD_BITS * word + np.bitwise_count(words[rows, word] - np.uint64(1))
+
+
 def anticommuting(xs: np.ndarray, zs: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Which packed rows (xs, zs) anticommute with the packed Pauli (x, z), one
     bool per row: the parity of popcount((xs & z) ^ (zs & x)) along the last axis."""

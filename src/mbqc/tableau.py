@@ -22,13 +22,18 @@ stabilizer rows whose product must equal P, and the product's sign is the
 answer.  A deterministic outcome is read this way before any randomness
 is consumed.
 
-Output extraction stays packed: ``_mul_rows`` elimination, then destabilizer
-completion by whole-row XORs; ``pauli.anticommuting`` is every whole-row
-commutation test.  Phases are tracked internally modulo 4 (products of rows
-pass through ``+/-i``); every exposed row sign is real.
+Output extraction stays packed.  A measured qubit is left in a ``+/-B``
+eigenstate and usually keeps that one-qubit stabilizer row; all such rows
+on the dropped qubits are pivots of one pass of whole-row masks (clear
+their bits, flip signs by a popcount parity).  Only the dropped qubits
+without one go through ``_mul_rows`` elimination; destabilizers are then
+completed by whole-row XORs.  ``pauli.anticommuting`` is every whole-row
+commutation test.  Phases are tracked internally modulo 4 (products of
+rows pass through ``+/-i``); every exposed row sign is real.
 """
 from __future__ import annotations
 
+import os
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -36,7 +41,8 @@ import numpy as np
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
 from .pauli import (PauliString, _eliminate, _mul_rows, anticommuting, column, flip_bits,
-                    n_words, pack_bits, phase_exponent_mod4, unpack_bits, xor_column)
+                    lone_qubits, n_words, pack_bits, phase_exponent_mod4, unpack_bits,
+                    xor_column)
 from .rng import OutcomeSource, as_outcome_source
 
 _OBS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -44,6 +50,16 @@ _OBS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # Debug mode: re-assert commutation structure and rank after every gate and
 # measurement.  Costs O(n^2) per operation, so it is off by default.
 DEBUG_CHECKS = False
+
+
+def check_capacity(n: int) -> None:
+    """Refuse ``n`` qubits when the packed rows of their tableau (2n rows of
+    x and z words, 4*n*w words) exceed physical memory."""
+    need = 32 * n * n_words(n)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise CapacityError(f"a {n}-qubit tableau needs {need} bytes, "
+                            f"more than the {have} bytes of physical memory")
 
 
 class Tableau:
@@ -54,6 +70,7 @@ class Tableau:
 
     def __init__(self, n: int):
         self.n = int(n)
+        check_capacity(self.n)
         self.w = n_words(self.n)
         self.xs = np.zeros((2 * self.n, self.w), dtype=np.uint64)
         self.zs = np.zeros((2 * self.n, self.w), dtype=np.uint64)
@@ -312,15 +329,27 @@ def tableau_to_statevector(t: Tableau, cap: int = 14):
     return StateVector(n, state.amps / norm)
 
 
+def _one_qubit_pivots(xs: np.ndarray, zs: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """Rows that are a single Pauli on a dropped qubit, at most one per qubit."""
+    rows, qubits = lone_qubits(xs | zs)
+    on_dropped = dropped[qubits]
+    _, first = np.unique(qubits[on_dropped], return_index=True)
+    return rows[on_dropped][first]
+
+
 def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
     """Tableau of the state restricted to ``keep`` (in the given order).
 
     Requires the state to be a product across the cut (true after the
-    discarded qubits have been measured).  The stabilizer rows go through
-    the packed, sign-tracked Gaussian elimination of ``pauli._eliminate``
-    on the discarded qubits, in ascending order, x column before z column;
-    the rows left over, the generators supported on ``keep``, go straight
-    into the new tableau, whose destabilizers are completed on packed rows.
+    discarded qubits have been measured).  Every one-qubit stabilizer row
+    ``+/-B_q`` on a discarded qubit q is q's pivot, all applied in one
+    packed pass: any other row holds I or ``B_q`` on q (else it raises),
+    so the pass clears those bits and flips each row's sign by the parity
+    of its minus-signed pivot qubits.  The discarded qubits with no such
+    row go through ``pauli._eliminate`` (ascending, x column before z).
+    The rows left, the generators on ``keep``, go into the new tableau,
+    whose destabilizers are completed on packed rows.  Which generators
+    are chosen is not part of the contract; the group they generate is.
     """
     keep = [int(q) for q in keep]
     if len(set(keep)) != len(keep):
@@ -331,8 +360,21 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
     dropped = np.ones(t.n, dtype=bool)
     dropped[keep] = False
 
-    xs, zs, signs = t.xs[t.n:].copy(), t.zs[t.n:].copy(), t.signs[t.n:].copy()
-    kept = ~_eliminate(xs, zs, signs, np.flatnonzero(dropped))
+    xs, zs, signs = t.xs[t.n:], t.zs[t.n:], t.signs[t.n:]
+    piv = _one_qubit_pivots(xs, zs, dropped)
+    neg = piv[signs[piv] != 0]
+    px, pz = np.bitwise_or.reduce(xs[piv]), np.bitwise_or.reduce(zs[piv])
+    on_q, q_neg = px | pz, np.bitwise_or.reduce(xs[neg] | zs[neg])
+    rest = np.ones(t.n, dtype=bool)
+    rest[piv] = False
+    xs, zs, signs = xs[rest], zs[rest], signs[rest]
+    touch = (xs | zs) & on_q
+    if np.any(((xs & on_q) ^ (touch & px)) | ((zs & on_q) ^ (touch & pz))):
+        raise VerificationError("a stabilizer row holds another Pauli on a measured qubit")
+    signs ^= (np.bitwise_count(touch & q_neg).sum(axis=1) & 1).astype(np.uint8)
+    xs &= ~on_q
+    zs &= ~on_q
+    kept = ~_eliminate(xs, zs, signs, np.flatnonzero(dropped & (unpack_bits(on_q, t.n) == 0)))
     xs, zs, signs = xs[kept], zs[kept], signs[kept]
     if np.any((xs | zs) & pack_bits(dropped)):
         raise VerificationError("state is not a product across the requested cut")

@@ -15,12 +15,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_graph, schema_validator
+from mbqc import engine, pauli
 from mbqc.compiler import Circuit
 from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern, validate_pattern
-from mbqc.graphs import LatticeSpec
+from mbqc.graphs import Graph, LatticeSpec
+from mbqc.pauli import unpack_bits
 from mbqc.statmech import SpinModel
 from mbqc.surface import HoleSpec, SliceLayout
 from mbqc.tableau import Tableau
@@ -81,6 +84,38 @@ def test_stabilizer_run_measures_once_per_command(rng, monkeypatch):
         assert len(rec.outcomes) == len(commands)
         assert calls["measure"] == n_commands
     assert calls["deterministic"] > 0
+
+
+def test_extraction_multiplies_rows_only_where_no_one_qubit_row(rng, monkeypatch):
+    """A measured qubit is usually left with a one-qubit stabilizer row, and
+    those rows are cleared in one packed pass; only the dropped qubits
+    without one may cost a row multiply (``_eliminate``, one per qubit for a
+    product state), not one or two per dropped qubit."""
+    n = 401
+    commands = [MeasurementCommand(s, "Z", 0.0) if rng.random() < 0.1 else
+                MeasurementCommand(s, "XY", int(rng.integers(4)) * math.pi / 2)
+                for s in range(n - 1)]
+    wire = MeasurementPattern(Graph(n, [(v, v + 1) for v in range(n - 1)]), [], [n - 1],
+                              commands)
+    seen = {"calls": 0}
+    extract, mul_rows = engine.extract_subtableau, pauli._mul_rows
+
+    def counting_extract(t, keep):
+        support = unpack_bits(t.xs[t.n:] | t.zs[t.n:], t.n)
+        one_qubit = {int(np.flatnonzero(row)[0]) for row in support if row.sum() == 1}
+        seen["remainder"] = len(set(range(t.n)) - set(keep) - one_qubit)
+        seen["calls"] = 0
+        return extract(t, keep)
+
+    def counting_mul_rows(*args):
+        seen["calls"] += 1
+        return mul_rows(*args)
+
+    monkeypatch.setattr(engine, "extract_subtableau", counting_extract)
+    monkeypatch.setattr(pauli, "_mul_rows", counting_mul_rows)
+    rec = run_pattern(wire, backend="stabilizer", randomness=3)
+    assert rec.output_state.n == 1
+    assert seen["calls"] <= seen["remainder"]
 
 
 # Input-file suffix -> (schema, library parser) for every benchmark input.

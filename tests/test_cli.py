@@ -1,5 +1,11 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -515,6 +521,42 @@ def test_exit_code_capacity(files, capsys):
                  "--cols", "1000000000", "--n-seeds", "1"]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("capacity exceeded:")
+
+
+@pytest.mark.parametrize("flag", ["--lattice", "--graph"])
+def test_graph_state_refuses_a_tableau_larger_than_memory(flag, files, capsys):
+    """10^8 sites would need petabytes of tableau: refused from the vertex
+    count, before the lattice or the tableau is built."""
+    path = files["tmp"] / "huge.json"
+    path.write_text(json.dumps({"kind": "chain", "dims": [10 ** 8]} if flag == "--lattice"
+                               else {"n": 10 ** 8, "edges": []}))
+    tracemalloc.start()
+    try:
+        code = main(["graph-state", flag, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("capacity exceeded:")
+
+
+def test_percolation_imports_no_tableau_layer():
+    """The CLI loads each layer inside the subcommands that use it."""
+    probe = ("import sys; from mbqc.cli import main; "
+             "main(['percolation', '--rate', '0.3', '--rows', '4', '--cols', '4', "
+             "'--n-seeds', '2']); "
+             "print(sorted(m for m in sys.modules if m.startswith('mbqc.')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = ast.literal_eval(out.splitlines()[-1])
+    assert "mbqc.graphs" in loaded
+    for layer in ("mbqc.tableau", "mbqc.pauli", "mbqc.engine", "mbqc.statevector"):
+        assert layer not in loaded
 
 
 def test_exit_code_verification(files, capsys):

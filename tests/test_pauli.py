@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import mbqc
 from conftest import mul_rows_full_width
 from mbqc.errors import ValidationError, VerificationError
-from mbqc.pauli import (PauliString, _mul_rows, n_words, pack_bits, phase_exponent_mod4,
-                        symplectic_rank, unpack_bits)
+from mbqc.pauli import (PauliString, _mul_rows, lone_qubits, n_words, pack_bits,
+                        phase_exponent_mod4, symplectic_rank, unpack_bits)
 from mbqc.statevector import StateVector, apply_pauli_string
 
 _SINGLE = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
@@ -146,6 +146,18 @@ def test_pack_round_trip_matches_per_bit_layout(n, n_rows, data):
         assert np.array_equal(pack_bits(row), words)             # 1-D input
         assert np.array_equal(unpack_bits(words, n), row)
     assert np.array_equal(unpack_bits(packed, n), rows)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_lone_qubits_matches_per_bit_count(n):
+    rng = np.random.default_rng(n)
+    bits = (rng.random((40, n)) < 1.5 / n).astype(np.uint8)
+    bits[:20] = 0
+    bits[np.arange(20), rng.integers(0, n, size=20)] = 1     # single bits in any word
+    rows, qubits = lone_qubits(pack_bits(bits))
+    want = [i for i, row in enumerate(bits) if row.sum() == 1]
+    assert rows.tolist() == want
+    assert qubits.tolist() == [int(np.flatnonzero(bits[i])[0]) for i in want]
 
 
 def test_from_support_cancels_a_qubit_listed_twice():

@@ -9,8 +9,8 @@ from mbqc.pauli import PauliString, pack_bits, unpack_bits
 from mbqc.rng import PROB_TOL, OutcomeSource, make_rng
 from mbqc.statevector import (StateVector, fidelity_up_to_phase, graph_state_vector,
                               measure_angle, measure_probability)
-from mbqc.tableau import (Tableau, extract_subtableau, graph_state_tableau,
-                          measure_pauli, tableau_to_statevector)
+from mbqc.tableau import (Tableau, _one_qubit_pivots, extract_subtableau,
+                          graph_state_tableau, measure_pauli, tableau_to_statevector)
 
 BASIS_TO_ANGLE = {"X": ("XY", 0.0), "Y": ("XY", np.pi / 2), "Z": ("Z", 0.0)}
 
@@ -227,6 +227,19 @@ def test_extract_subtableau_rejects_entangled_cut():
         extract_subtableau(t, [0])
 
 
+@pytest.mark.parametrize("pivot, other", [("+XI", "+ZZ"), ("+XI", "+YZ"), ("+ZI", "+YX")])
+def test_extract_subtableau_rejects_a_row_against_a_one_qubit_pivot(pivot, other):
+    """The one-qubit row is qubit 0's pivot; a row holding another Pauli
+    there (wrong x bit, z bit or both) cannot be cleared."""
+    from mbqc.errors import VerificationError
+    t = Tableau(2)
+    for i, text in enumerate([pivot, other]):
+        row = PauliString.from_text(text)
+        t.xs[2 + i], t.zs[2 + i] = row.x, row.z
+    with pytest.raises(VerificationError, match="another Pauli on a measured qubit"):
+        extract_subtableau(t, [1])
+
+
 def _extract_per_bit(t, keep):
     """Reference extraction, one bit and one PauliString product at a time:
     eliminate each dropped qubit (ascending, x column before z column) with
@@ -246,23 +259,72 @@ def _extract_per_bit(t, keep):
             for r, u in zip(rows, used) if not u]
 
 
+def _mix_generators(t, rng):
+    """Replace stabilizer rows by products of pairs: other generators, same group."""
+    n = t.n
+    for i, j in rng.integers(0, n, size=(n, 2)):
+        if i != j:
+            row = t.stabilizer_row(j) * t.stabilizer_row(i)
+            t.xs[n + i], t.zs[n + i], t.signs[n + i] = row.x, row.z, row.sign_bit
+
+
+def _assert_same_group(sub, ref_texts):
+    """``sub`` generates the signed group of the reference rows: as many
+    generators, and every reference row a member with sign +1."""
+    sub.check_invariants()
+    assert len(ref_texts) == sub.n
+    for text in ref_texts:
+        assert sub.stabilizer_group_contains(PauliString.from_text(text)) == +1
+
+
+def _n_one_qubit_pivots(t, keep):
+    dropped = np.ones(t.n, dtype=bool)
+    dropped[keep] = False
+    return len(_one_qubit_pivots(t.xs[t.n:], t.zs[t.n:], dropped))
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 130])
 def test_extract_subtableau_matches_per_bit_elimination(n):
+    """Which generators are chosen is not part of the contract: the output
+    generates the reference's signed group.  Unmixed, the measured qubits'
+    one-qubit rows are pivots; mixed, most of them go through ``_eliminate``."""
     rng = np.random.default_rng(n)
-    for _ in range(3):
-        t = graph_state_tableau(random_graph(n, rng, p=4 / n))
-        keep = [int(q) for q in rng.choice(n, size=4, replace=False)]
-        src = OutcomeSource(rng=rng)
-        for q in rng.permutation(n):
-            if q not in keep:
-                t.measure_pauli(str(rng.choice(["X", "Y", "Z"])), int(q), src)
-        for i, j in rng.integers(0, n, size=(n, 2)):    # other generators, same group
-            if i != j:
-                row = t.stabilizer_row(j) * t.stabilizer_row(i)
-                t.xs[n + i], t.zs[n + i], t.signs[n + i] = row.x, row.z, row.sign_bit
-        sub = extract_subtableau(t, keep)
-        sub.check_invariants()
-        assert sub.dump().split("\n") == _extract_per_bit(t, keep)
+    for mix in (False, True):
+        for _ in range(3):
+            t = graph_state_tableau(random_graph(n, rng, p=4 / n))
+            keep = [int(q) for q in rng.choice(n, size=4, replace=False)]
+            src = OutcomeSource(rng=rng)
+            for q in rng.permutation(n):
+                if q not in keep:
+                    t.measure_pauli(str(rng.choice(["X", "Y", "Z"])), int(q), src)
+            if mix:
+                _mix_generators(t, rng)
+            pivots = _n_one_qubit_pivots(t, keep)
+            assert pivots < n // 2 if mix else pivots > n // 2
+            _assert_same_group(extract_subtableau(t, keep), _extract_per_bit(t, keep))
+
+
+@pytest.mark.parametrize("mix", [False, True])
+def test_extract_subtableau_without_one_qubit_rows(mix):
+    """Dropped qubits in Bell pairs among themselves have no one-qubit row,
+    yet the state is a product across the cut: all of them go through
+    ``_eliminate``."""
+    n, pairs = 130, [(3, 64), (63, 129), (70, 71)]
+    rng = np.random.default_rng(5)
+    dropped = [q for pair in pairs for q in pair]
+    keep = [q for q in rng.permutation(n).tolist() if q not in dropped]
+    t = Tableau.plus_state(n)
+    for _ in range(4 * n):                      # a random state on the kept qubits
+        gate = str(rng.choice(["H", "S", "CZ", "CNOT"]))
+        t.apply_clifford(gate, rng.choice(keep, size=1 + (gate in ("CZ", "CNOT")),
+                                          replace=False).tolist())
+    for a, b in pairs:                          # (|00> + |11>)/sqrt2, then a sign
+        t.apply_clifford("H", [b]).apply_clifford("CNOT", [a, b])
+        t.apply_clifford(str(rng.choice(["X", "Z"])), [a])
+    if mix:
+        _mix_generators(t, rng)
+    assert _n_one_qubit_pivots(t, keep) == 0
+    _assert_same_group(extract_subtableau(t, keep), _extract_per_bit(t, keep))
 
 
 def _complete_destabilizers_per_element(stabs, n):
