@@ -14,14 +14,18 @@ One depth-first walker executes patterns on both backends.
 ``run_pattern`` follows the single branch an ``OutcomeSource`` picks;
 ``enumerate_branches`` follows every outcome of probability at least
 ``PROB_TOL``, sharing measurement prefixes between branches.  A backend
-supplies only a step (the probability of outcome 0 plus a collapse onto a
-chosen outcome) and an output extraction.  The statevector step projects
-out each measured qubit, so the state halves with every measurement and
-exhausting 2^k branches costs about k full-state passes rather than 2^k;
-the stabilizer step copies the tableau only for a pending sibling branch.
+supplies only a step (the outcomes to follow, by ``_follow``, plus a
+collapse onto a chosen outcome) and an output extraction.  The
+statevector step projects out each measured qubit, so the state halves
+with every measurement and exhausting 2^k branches costs about k
+full-state passes rather than 2^k.  In a run the stabilizer step is one
+in-place ``Tableau.measure_pauli`` per command, which reads the qubit's
+column once and asks the run's source for the outcome; enumeration copies
+the tableau only for a pending sibling branch.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -210,9 +214,12 @@ def validate_pattern(p: MeasurementPattern) -> list[str]:
                     f"command {k}: dependency {d} precedes order "
                     f"(not measured before site {c.site})")
         seen.add(c.site)
-    unmeasured = set(range(n)) - seen - out_set
-    if unmeasured:
-        issues.append(f"non-output sites never measured: {sorted(unmeasured)}")
+    covered = seen | {s for s in out_set if 0 <= s < n}
+    if len(covered) < n:            # count and name a few, without listing all n sites
+        first = list(itertools.islice((s for s in range(n) if s not in covered), 10))
+        more = ", ..." if n - len(covered) > len(first) else ""
+        issues.append(f"{n - len(covered)} non-output sites never measured: "
+                      f"{', '.join(map(str, first))}{more}")
     for site, rule in p.corrections.items():
         if site not in seen:
             issues.append(f"correction keyed by unmeasured site {site}")
@@ -309,12 +316,7 @@ def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: st
             continue
         c = p.commands[idx]
         theta = c.effective_angle(outcomes) if c.plane == "XY" else 0.0
-        p0, collapse = step(state, c, theta)
-        if src is None:
-            chosen = [(m, pm) for m, pm in ((0, p0), (1, 1.0 - p0)) if pm >= PROB_TOL]
-        else:
-            m = src.choose(c.site, p0)
-            chosen = [(m, p0 if m == 0 else 1.0 - p0)]
+        chosen, collapse = step(state, c, theta, src)
         # push outcome 1 first so 0 is walked first; only the last collapse
         # may consume ``state`` and ``outcomes``
         for m, pm in reversed(chosen):
@@ -326,16 +328,42 @@ def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: st
     return records
 
 
+def _follow(src: Optional[OutcomeSource], site: int, p0: float) -> list[tuple[int, float]]:
+    """The outcomes the walker follows at ``site``, with their probabilities,
+    when outcome 0 has probability p0: the one ``src`` picks, or with no
+    source every outcome of probability >= PROB_TOL."""
+    if src is None:
+        return [(m, pm) for m, pm in ((0, p0), (1, 1.0 - p0)) if pm >= PROB_TOL]
+    m = src.choose(site, p0)
+    return [(m, p0 if m == 0 else 1.0 - p0)]
+
+
+class _FlippedSource(OutcomeSource):
+    """A run's source as seen by a tableau that measures a Pauli whose
+    outcome is the command's XOR ``flip``: each choice goes to the run's
+    source in the command's terms, so draws, forced outcomes and
+    contradictions are the command's; ``followed`` keeps what ``_follow``
+    would return."""
+
+    def __init__(self, src: OutcomeSource, flip: int):
+        self.src, self.flip = src, flip
+
+    def choose(self, key: int, p0: float) -> int:
+        self.followed = _follow(self.src, key, 1.0 - p0 if self.flip else p0)
+        return self.followed[0][0] ^ self.flip
+
+
 def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
              cap: int):
     """(initial state, step, output) for one backend.
 
-    ``step(state, command, theta)`` returns the probability of outcome 0
-    and ``collapse(m, last)``, the post-measurement state for outcome m;
-    ``last`` says ``state`` is not needed again and may be updated in place.
+    ``step(state, command, theta, src)`` returns the outcomes to follow
+    with their probabilities (``_follow``) and ``collapse(m, last)``, the
+    post-measurement state for outcome m; ``last`` says ``state`` is not
+    needed again and may be updated in place.
     """
     if backend == "statevector":
-        def sv_step(state, c, theta):
+        def sv_step(state, c, theta, src):
             sv, live = state              # live: site held by each qubit
             pos = live.index(c.site)
             c0, p0 = _project(sv, pos, c.plane, theta, 0)
@@ -344,7 +372,7 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
                 cm, pm = (c0, p0) if m == 0 else _project(sv, pos, c.plane, theta, 1)
                 post = StateVector(sv.n - 1, cm / math.sqrt(pm))
                 return post, live[:pos] + live[pos + 1:]
-            return p0, collapse
+            return _follow(src, c.site, p0), collapse
 
         def sv_output(state):
             sv, live = state
@@ -362,17 +390,21 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
             raise CapacityError(
                 "stabilizer backend requires all angles to be multiples of pi/2")
 
-        def stab_step(t, c, theta):
+        def stab_step(t, c, theta, src):
             basis, flip = ("Z", 0) if c.plane == "Z" else _angle_to_pauli(theta)
+            if src is not None:           # one branch: measure once, in place
+                flipped = _FlippedSource(src, flip)
+                t.measure_pauli(basis, c.site, flipped)
+                return flipped.followed, lambda m, last: t
             if not t.outcome_is_random(basis, c.site):
                 m = t.measure_pauli(basis, c.site) ^ flip
-                return (1.0 if m == 0 else 0.0), lambda m, last: t
+                return _follow(None, c.site, 1.0 if m == 0 else 0.0), lambda m, last: t
 
             def collapse(m, last):
                 t2 = t if last else t.copy()
                 t2.measure_pauli(basis, c.site, forced=m ^ flip)
                 return t2
-            return 0.5, collapse
+            return _follow(None, c.site, 0.5), collapse
 
         return (graph_state_tableau(p.resource), stab_step,
                 lambda t: extract_subtableau(t, p.output_sites))

@@ -14,6 +14,9 @@ pivot's word span, with its phase from ``phase_exponent_mod4`` (two
 popcounts); the GF(2) eliminator ``_eliminate`` (output extraction,
 ``symplectic_rank``) and tableau measurement both call it; every
 whole-row commutation test is ``anticommuting`` (one popcount per row).
+A one-qubit question (which rows anticommute with X, Y or Z on qubit q)
+is ``anticommuting_at`` on ``qubit_columns``, one read of q's x and z
+word columns.
 """
 from __future__ import annotations
 
@@ -70,6 +73,35 @@ def column(words: np.ndarray, q: int) -> np.ndarray:
 def xor_column(words: np.ndarray, q: int, bits: np.ndarray) -> None:
     """XOR uint64 0/1 ``bits`` (one per row) into bit ``q`` of every packed row."""
     words[:, q >> 6] ^= bits << np.uint64(q & 63)
+
+
+def qubit_columns(xs: np.ndarray, zs: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit ``q`` of every packed row of ``xs`` and of ``zs``, as bool: one
+    read of each word column, for ``anticommuting_at``."""
+    bit = np.uint64(1) << np.uint64(q & 63)
+    return (xs[:, q >> 6] & bit) != 0, (zs[:, q >> 6] & bit) != 0
+
+
+def anticommuting_at(cx: np.ndarray, cz: np.ndarray, kind: str) -> np.ndarray:
+    """Ascending indices of the rows that anticommute with the one-qubit
+    Pauli ``kind`` (X, Y or Z) on the qubit whose ``qubit_columns`` are
+    (cx, cz): the rows with a z bit for X, an x bit for Z, one of them for Y."""
+    return (cz if kind == "X" else cx if kind == "Z" else cx ^ cz).nonzero()[0]
+
+
+def clear_column(words: np.ndarray, rows: np.ndarray, q: int) -> None:
+    """Clear bit ``q`` of the packed ``rows`` (distinct indices) in place."""
+    col = words[:, q >> 6]
+    col[rows] &= ~np.uint64(1 << (q & 63))
+
+
+def set_single(xs: np.ndarray, zs: np.ndarray, row: int, q: int, kind: str) -> None:
+    """Overwrite packed row ``row`` with the one-qubit Pauli ``kind`` on ``q``."""
+    xs[row] = zs[row] = 0
+    if kind != "Z":
+        xs[row, q >> 6] = 1 << (q & 63)
+    if kind != "X":
+        zs[row, q >> 6] = 1 << (q & 63)
 
 
 def lone_qubits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,14 +217,10 @@ class PauliString:
     def single(cls, n: int, qubit: int, kind: str, sign: int = +1) -> "PauliString":
         if not (0 <= qubit < n):
             raise ValidationError(f"qubit {qubit} out of range")
-        p = cls(n, sign=sign)
-        w, b = qubit >> 6, np.uint64(1) << np.uint64(qubit & 63)
-        if kind in ("X", "Y"):
-            p.x[w] |= b
-        if kind in ("Z", "Y"):
-            p.z[w] |= b
         if kind not in ("X", "Y", "Z"):
             raise ValidationError(f"kind must be X, Y or Z, got {kind!r}")
+        p = cls(n, sign=sign)
+        set_single(p.x[None], p.z[None], 0, qubit, kind)
         return p
 
     def qubit(self, k: int) -> str:

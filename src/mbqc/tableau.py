@@ -12,15 +12,19 @@ signs, and their sign bits stay 0.
 Every Pauli question starts from one anticommutation column: which of the
 2n rows anticommute with the observable (read from the z bits for X, the
 x bits for Z).  If a stabilizer row does, a measurement gives a fair
-random (or forced) outcome, and the pivot row is multiplied into the
-other anticommuting rows by ``pauli._mul_rows`` over its word span only,
-with a phase computed for the stabilizer rows alone.  Otherwise the
-observable is ``+/-`` a group member, and one membership routine answers
-both "what is the deterministic outcome?" and "is ``+/-P`` in the
-stabilizer group?": the destabilizers that anticommute with P select the
-stabilizer rows whose product must equal P, and the product's sign is the
-answer.  A deterministic outcome is read this way before any randomness
-is consumed.
+random (or forced) outcome and factors the qubit out: the state is then
+``|b> (x) |psi'>`` (Raussendorf, Browne & Briegel, quant-ph/0301052), so
+the pivot row becomes the one-qubit ``+/-B``, its destabilizer a one-qubit
+Pauli, and every other row is cleared on that qubit.  The pivot is
+multiplied into the other anticommuting rows by ``pauli._mul_rows`` over
+its word span only, with a phase computed for the stabilizer rows alone;
+as measured qubits leave no weight behind, destabilizer rows stay as
+sparse as the stabilizers.  Otherwise the observable is ``+/-`` a group
+member, and one membership routine answers both "what is the
+deterministic outcome?" and "is ``+/-P`` in the stabilizer group?": the
+destabilizers that anticommute with P select the stabilizer rows whose
+product must equal P, and the product's sign is the answer.  A
+deterministic outcome is read this way before any randomness is consumed.
 
 Output extraction stays packed.  A measured qubit is left in a ``+/-B``
 eigenstate and usually keeps that one-qubit stabilizer row; all such rows
@@ -40,12 +44,10 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError, VerificationError
 from .graphs import Graph
-from .pauli import (PauliString, _eliminate, _mul_rows, anticommuting, column, flip_bits,
-                    lone_qubits, n_words, pack_bits, phase_exponent_mod4, unpack_bits,
-                    xor_column)
+from .pauli import (PauliString, _eliminate, _mul_rows, anticommuting, anticommuting_at,
+                    clear_column, column, flip_bits, lone_qubits, n_words, pack_bits,
+                    phase_exponent_mod4, qubit_columns, set_single, unpack_bits, xor_column)
 from .rng import OutcomeSource, as_outcome_source
-
-_OBS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 # Debug mode: re-assert commutation structure and rank after every gate and
 # measurement.  Costs O(n^2) per operation, so it is off by default.
@@ -155,57 +157,74 @@ class Tableau:
 
     # -- measurement --------------------------------------------------------
 
-    def _anticommuting(self, basis: str, qubit: int,
-                       rows: slice = slice(None)) -> np.ndarray:
-        """Which of ``rows`` (default all 2n) anticommute with ``basis`` on
-        ``qubit`` (bool).  X reads only the z column, Z only the x column."""
-        if basis not in _OBS_BITS:
+    def _columns(self, basis: str, qubit: int, first: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """``pauli.qubit_columns`` of the rows from ``first`` on (default all
+        2n), after checking basis and qubit."""
+        if basis not in ("X", "Y", "Z"):
             raise ValidationError(f"basis must be X, Y or Z, got {basis!r}")
         if not (0 <= qubit < self.n):
             raise ValidationError(f"qubit {qubit} out of range")
-        xo, zo = _OBS_BITS[basis]
-        return ((column(self.xs[rows], qubit) if zo else 0)
-                ^ (column(self.zs[rows], qubit) if xo else 0)) != 0
+        return qubit_columns(self.xs[first:], self.zs[first:], qubit)
 
     def measure_pauli(self, basis: str, qubit: int,
                       randomness: Union[int, OutcomeSource, None] = None,
                       forced: Optional[int] = None) -> int:
-        """Measure X/Y/Z on one qubit in place; returns the outcome bit.
+        """Measure B = X/Y/Z on one qubit in place; returns the outcome bit m.
 
         Deterministic outcomes are detected before any randomness is drawn,
         so a fixed seed yields the same trace whatever the branch structure.
         ``forced`` (or instead a forced entry in an OutcomeSource keyed by
         qubit) pins the outcome of a balanced measurement and raises
         ContradictionError against a conflicting deterministic outcome.
+
+        A random outcome factors the qubit out of the tableau.  The first
+        anticommuting stabilizer row p, with Pauli P on the qubit, is
+        multiplied into the other anticommuting rows.  Every row but p and
+        its destabilizer then holds I or B on the qubit, and it holds B
+        exactly if it anticommuted with P there before.  p becomes
+        ``(-1)^m B``, its destabilizer the one-qubit C (Z for X, X for Y or
+        Z), and each other row holding B is multiplied by p: its bits on the
+        qubit are cleared and, if it is a stabilizer row, its sign flips
+        when m = 1.  The signed group is the one the textbook update gives;
+        only its generators differ, so every later outcome is the same.
+        The qubit's x and z word columns are read once; both anticommutation
+        columns, for B and for P, come from that read.
         """
-        anti = self._anticommuting(basis, qubit)
+        cx, cz = self._columns(basis, qubit)
+        anti = anticommuting_at(cx, cz, basis)
         src = as_outcome_source(randomness,
                                 forced=None if forced is None else {qubit: forced})
-        obs = PauliString.single(self.n, qubit, basis)
+        n = self.n
+        if not (anti.size and anti[-1] >= n):
+            m_det = self._member_sign_bit(anti, PauliString.single(n, qubit, basis))
+            if m_det is None:
+                raise VerificationError("deterministic-outcome reconstruction failed")
+            return src.choose(qubit, 1.0 - m_det)
 
-        stab_anti = np.flatnonzero(anti[self.n:])
-        if stab_anti.size:
-            p = self.n + int(stab_anti[0])
-            m = src.choose(qubit, 0.5)
-            rows = np.flatnonzero(anti)
-            rows = rows[(rows != p) & (rows != p - self.n)]
-            _mul_rows(self.xs, self.zs, self.signs[self.n:], rows, self.xs[p], self.zs[p],
-                      int(self.signs[p]))
-            # old pivot becomes the paired destabilizer, unsigned; pivot becomes +/-P
-            self.xs[p - self.n], self.zs[p - self.n] = self.xs[p], self.zs[p]
-            self.xs[p], self.zs[p], self.signs[p] = obs.x, obs.z, m
-            if DEBUG_CHECKS:
-                self.check_invariants()
-            return m
-
-        m_det = self._member_sign_bit(anti, obs)
-        if m_det is None:
-            raise VerificationError("deterministic-outcome reconstruction failed")
-        return src.choose(qubit, 1.0 - m_det)
+        p = int(anti[anti.searchsorted(n)])
+        m = src.choose(qubit, 0.5)
+        held = anticommuting_at(cx, cz, "IXZY"[cx[p] + 2 * cz[p]])
+        if anti.size > 1 + (anti[0] == p - n):       # rows besides p and its destabilizer
+            _mul_rows(self.xs, self.zs, self.signs[n:], anti[(anti != p) & (anti != p - n)],
+                      self.xs[p], self.zs[p], int(self.signs[p]))
+        if held.size:                                # row p - n is overwritten below
+            if basis != "Z":
+                clear_column(self.xs, held, qubit)
+            if basis != "X":
+                clear_column(self.zs, held, qubit)
+            if m:
+                self.signs[held[held.searchsorted(n):]] ^= np.uint8(1)
+        set_single(self.xs, self.zs, p - n, qubit, "Z" if basis == "X" else "X")
+        set_single(self.xs, self.zs, p, qubit, basis)
+        self.signs[p] = m
+        if DEBUG_CHECKS:
+            self.check_invariants()
+        return m
 
     def outcome_is_random(self, basis: str, qubit: int) -> bool:
         """True when measuring the observable would give a fair coin."""
-        return bool(np.any(self._anticommuting(basis, qubit, slice(self.n, None))))
+        return anticommuting_at(*self._columns(basis, qubit, self.n), basis).size > 0
 
     def _stab_row_product(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Product of the selected stabilizer rows (they all commute).
@@ -231,14 +250,14 @@ class Tableau:
     def _member_sign_bit(self, anti: np.ndarray, p: PauliString) -> Optional[int]:
         """Bit s with ``(-1)^s`` times p's unsigned operator in the group, or None.
 
-        ``anti`` is p's anticommutation column.  A member commutes with
-        every stabilizer row and is the product of the rows whose paired
-        destabilizers anticommute with it; that product is compared
-        bit for bit.
+        ``anti`` holds the rows that anticommute with p, ascending.  A
+        member commutes with every stabilizer row and is the product of the
+        rows whose paired destabilizers anticommute with it; that product is
+        compared bit for bit.
         """
-        if np.any(anti[self.n:]):
+        if anti.size and anti[-1] >= self.n:
             return None
-        acc_x, acc_z, phase = self._stab_row_product(np.flatnonzero(anti[:self.n]))
+        acc_x, acc_z, phase = self._stab_row_product(anti)
         if not (np.array_equal(acc_x, p.x) and np.array_equal(acc_z, p.z)):
             return None
         if phase % 2:
@@ -256,7 +275,7 @@ class Tableau:
         """
         if p.n != self.n:
             raise ValidationError("qubit counts differ")
-        s = self._member_sign_bit(anticommuting(self.xs, self.zs, p.x, p.z), p)
+        s = self._member_sign_bit(np.flatnonzero(anticommuting(self.xs, self.zs, p.x, p.z)), p)
         if s is None:
             return None
         return -1 if s ^ p.sign_bit else +1

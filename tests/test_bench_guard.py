@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, schema_validator
-from mbqc import engine, pauli
+from mbqc import engine, pauli, tableau
 from mbqc.compiler import Circuit
 from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern, validate_pattern
 from mbqc.graphs import Graph, LatticeSpec
 from mbqc.pauli import unpack_bits
+from mbqc.rng import OutcomeSource
 from mbqc.statmech import SpinModel
 from mbqc.surface import HoleSpec, SliceLayout
 from mbqc.tableau import Tableau
@@ -57,20 +58,27 @@ def test_every_tracing_target_resolves(monkeypatch):
 
 
 def test_stabilizer_run_measures_once_per_command(rng, monkeypatch):
-    calls = {"measure": 0, "deterministic": 0}
-    measure, is_random = Tableau.measure_pauli, Tableau.outcome_is_random
+    """One ``measure_pauli`` per command reads the qubit's column once; the
+    run's source is asked once per command, with p0 = 1 or 0 for the
+    deterministic outcomes, and ``outcome_is_random`` is not called."""
+    calls = {"measure": 0, "choose": 0, "deterministic": 0}
+    measure, choose = Tableau.measure_pauli, OutcomeSource.choose
 
     def counting_measure(self, *args, **kwargs):
         calls["measure"] += 1
         return measure(self, *args, **kwargs)
 
-    def counting_is_random(self, *args, **kwargs):
-        result = is_random(self, *args, **kwargs)
-        calls["deterministic"] += not result
-        return result
+    def counting_choose(self, key, p0):
+        calls["choose"] += 1
+        calls["deterministic"] += p0 in (0.0, 1.0)
+        return choose(self, key, p0)
+
+    def no_query(self, *args, **kwargs):
+        raise AssertionError("outcome_is_random called in a run")
 
     monkeypatch.setattr(Tableau, "measure_pauli", counting_measure)
-    monkeypatch.setattr(Tableau, "outcome_is_random", counting_is_random)
+    monkeypatch.setattr(OutcomeSource, "choose", counting_choose)
+    monkeypatch.setattr(Tableau, "outcome_is_random", no_query)
     n_commands = 0
     for seed in range(8):
         n = 12
@@ -82,8 +90,32 @@ def test_stabilizer_run_measures_once_per_command(rng, monkeypatch):
         rec = run_pattern(p, backend="stabilizer", randomness=seed)
         n_commands += len(commands)
         assert len(rec.outcomes) == len(commands)
-        assert calls["measure"] == n_commands
+        assert calls["measure"] == calls["choose"] == n_commands
     assert calls["deterministic"] > 0
+
+
+def test_measurement_keeps_destabilizers_sparse(monkeypatch):
+    """A random outcome factors the qubit out, so the destabilizer rows that
+    measurement hands ``_mul_rows`` stay few.  On this 400-site wire the
+    textbook update, which moves each old pivot into a destabilizer, hands
+    it 2,518 destabilizer rows; factoring hands it 266."""
+    n = 400
+    rng = np.random.default_rng(400)
+    commands = [MeasurementCommand(s, "Z", 0.0) if rng.random() < 0.1 else
+                MeasurementCommand(s, "XY", int(rng.integers(4)) * math.pi / 2)
+                for s in range(n - 1)]
+    wire = MeasurementPattern(Graph(n, [(v, v + 1) for v in range(n - 1)]), [], [n - 1],
+                              commands)
+    seen = {"destabilizer_rows": 0}
+    mul_rows = tableau._mul_rows
+
+    def counting_mul_rows(xs, zs, signs, rows, *args):
+        seen["destabilizer_rows"] += int(np.count_nonzero(rows < len(xs) - len(signs)))
+        return mul_rows(xs, zs, signs, rows, *args)
+
+    monkeypatch.setattr(tableau, "_mul_rows", counting_mul_rows)
+    run_pattern(wire, backend="stabilizer", randomness=1)
+    assert 0 < seen["destabilizer_rows"] <= n
 
 
 def test_extraction_multiplies_rows_only_where_no_one_qubit_row(rng, monkeypatch):

@@ -508,6 +508,18 @@ def test_invalid_pattern_is_reported_once(subcommand, files, capsys):
     assert err.startswith("error: invalid pattern: command 0: output site 0 must not be measured")
 
 
+def test_unmeasured_sites_of_a_huge_pattern_are_counted_not_listed(files, capsys):
+    """10^6 sites and no commands: exit 2 with one short line that gives
+    the count and the first few sites, not all of them."""
+    pat = files["tmp"] / "huge.pattern.json"
+    pat.write_text(json.dumps({"resource": {"n": 10 ** 6, "edges": []}, "inputs": [],
+                               "outputs": [], "commands": []}))
+    assert main(["run-pattern", "--pattern", str(pat), "--backend", "stab"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert "1000000 non-output sites never measured: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ..." in err
+
+
 def test_exit_code_capacity(files, capsys):
     big = files["tmp"] / "big_model.json"
     n = 30

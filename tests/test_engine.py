@@ -51,6 +51,10 @@ def test_unmeasured_site_diagnostic():
     p = MeasurementPattern(Graph(2, [(0, 1)]), [], [1], [])
     issues = validate_pattern(p)
     assert any("never measured" in i for i in issues)
+    p = MeasurementPattern(Graph(13, []), [], [12, 40], [MeasurementCommand(1, "Z")])
+    assert validate_pattern(p) == [
+        "output site 40 out of range",
+        "11 non-output sites never measured: 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, ..."]
 
 
 def test_double_measurement_and_output_measured():

@@ -217,10 +217,11 @@ def test_fused_step_matches_measure_then_compact(n, rng):
         for plane in ("XY", "Z"):
             sv = random_state(n, rng)
             theta = float(rng.uniform(-np.pi, np.pi)) if plane == "XY" else 0.0
-            p0, collapse = step((sv, list(range(n))), MeasurementCommand(q, plane), theta)
+            followed, collapse = step((sv, list(range(n))), MeasurementCommand(q, plane),
+                                      theta, None)
             for m in (0, 1):
                 p_ref, post_ref = _projector_reference(sv, q, plane, theta, m)
-                assert abs((1.0 - p0 if m else p0) - p_ref) < 1e-12
+                assert abs(dict(followed).get(m, 0.0) - p_ref) < 1e-12
                 assert abs(measure_probability(sv, q, plane, theta, m) - p_ref) < 1e-12
                 _, measured = measure_angle(sv, q, plane, theta, forced=m)
                 inline = compact(measured, q)

@@ -397,29 +397,50 @@ def test_destabilizer_completion_matches_per_element_reference(nk, source):
     assert np.array_equal(gram, np.block([[0 * eye, eye], [eye, 0 * eye]]))
 
 
-def _measure_full_width(t, basis, q, m, sign_destabilizers=False):
-    """Reference update for outcome ``m`` of a Pauli measurement: the same
-    pivot rule as ``measure_pauli``, with full-width row products and
-    columns read from unpacked bits.  Destabilizer rows multiply, and the
-    pivot's old row moves into its destabilizer slot, without a sign unless
-    ``sign_destabilizers`` (every row signed, as in the textbook update)."""
+def _mul_full_width(t, rows, px, pz, psign, sign_destabilizers):
+    """Full-width product of (px, pz, psign) into ``rows``; destabilizer
+    rows get no sign unless ``sign_destabilizers``."""
+    signed = rows if sign_destabilizers else rows[rows >= t.n]
+    unsigned = np.setdiff1d(rows, signed)
+    t.xs[unsigned] ^= px
+    t.zs[unsigned] ^= pz
+    mul_rows_full_width(t.xs, t.zs, t.signs, signed, px, pz, psign)
+
+
+def _measure_full_width(t, basis, q, m, sign_destabilizers=False, factor=True):
+    """Reference update for outcome ``m`` of a Pauli measurement B_q, with
+    full-width row products and columns read from unpacked bits; returns
+    whether the outcome was random.  Rows that anticommute take the first
+    anticommuting stabilizer row p, which becomes (-1)^m B_q.  Destabilizer
+    rows multiply without a sign unless ``sign_destabilizers`` (every row
+    signed, as in the textbook update).  Without ``factor`` (the textbook
+    rule) p's old row moves into its destabilizer slot.  With ``factor``
+    every other row that holds B_q is multiplied by (-1)^m B_q, and p's
+    destabilizer becomes the one-qubit Pauli that anticommutes with B_q
+    (Z for X, X for Y or Z)."""
     n = t.n
     xo, zo = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}[basis]
     anti = ((zo * unpack_bits(t.xs, n)[:, q]) ^ (xo * unpack_bits(t.zs, n)[:, q])) != 0
     if not anti[n:].any():
-        return
+        return False
     p = n + int(np.flatnonzero(anti[n:])[0])
     rows = np.array([r for r in np.flatnonzero(anti) if r not in (p, p - n)], dtype=np.int64)
-    signed = rows if sign_destabilizers else rows[rows >= n]
-    px, pz = t.xs[p].copy(), t.zs[p].copy()
-    unsigned = np.setdiff1d(rows, signed)
-    t.xs[unsigned] ^= px
-    t.zs[unsigned] ^= pz
-    mul_rows_full_width(t.xs, t.zs, t.signs, signed, px, pz, int(t.signs[p]))
+    _mul_full_width(t, rows, t.xs[p].copy(), t.zs[p].copy(), int(t.signs[p]),
+                    sign_destabilizers)
     t.xs[p - n], t.zs[p - n] = t.xs[p], t.zs[p]
     t.signs[p - n] = t.signs[p] if sign_destabilizers else 0
     obs = PauliString.single(n, q, basis)
     t.xs[p], t.zs[p], t.signs[p] = obs.x, obs.z, m
+    if factor:
+        x, z = unpack_bits(t.xs, n)[:, q], unpack_bits(t.zs, n)[:, q]
+        others = np.ones(2 * n, dtype=bool)
+        others[[p - n, p]] = False
+        held = others & ((x | z) != 0)
+        assert np.all((x[held] == xo) & (z[held] == zo))      # only I or B_q is left
+        _mul_full_width(t, np.flatnonzero(held), obs.x, obs.z, m, sign_destabilizers)
+        c = PauliString.single(n, q, "Z" if basis == "X" else "X")
+        t.xs[p - n], t.zs[p - n], t.signs[p - n] = c.x, c.z, 0
+    return True
 
 
 def _clifford_full_width(t, gate, targets):
@@ -478,6 +499,40 @@ def test_measurements_match_full_width_reference(n):
         _measure_full_width(ref, basis, int(q), t.measure_pauli(basis, int(q), src))
     assert np.array_equal(t.xs, ref.xs) and np.array_equal(t.zs, ref.zs)
     assert np.array_equal(t.signs, ref.signs)
+
+
+@pytest.mark.parametrize("n", [65, 130, 300])
+def test_factoring_keeps_the_signed_group_of_the_textbook_update(n):
+    """Random gates and X/Y/Z measurements against the textbook update,
+    which leaves the measured qubit in the old pivot's destabilizer: the
+    same outcomes from the same source; after every step each reference
+    stabilizer row is a member with the same sign and the invariants hold;
+    and after a random outcome on q only rows p and p - n touch q."""
+    rng = np.random.default_rng([n, 29])
+    t = _random_clifford_tableau(n, rng)
+    ref = t.copy()
+    src, ref_src = OutcomeSource.from_seed(n), OutcomeSource.from_seed(n)
+    n_random = 0
+    for _ in range(30):
+        gate = str(rng.choice(["H", "S", "X", "Y", "Z", "CZ", "CNOT"] + ["measure"] * 7))
+        if gate == "measure":
+            basis, q = str(rng.choice(["X", "Y", "Z"])), int(rng.integers(n))
+            sign = ref.stabilizer_group_contains(PauliString.single(n, q, basis))
+            m = ref_src.choose(q, 0.5 if sign is None else float(sign == +1))
+            assert t.measure_pauli(basis, q, src) == m
+            if _measure_full_width(ref, basis, q, m, factor=False):
+                n_random += 1
+                touch = np.flatnonzero(unpack_bits(t.xs | t.zs, n)[:, q])
+                assert len(touch) == 2 and touch[1] == touch[0] + n
+                assert t.stabilizer_row(int(touch[0])) == PauliString.single(
+                    n, q, basis, -1 if m else +1)
+        else:
+            targets = [int(q) for q in rng.permutation(n)[:2 if gate in ("CZ", "CNOT") else 1]]
+            t.apply_clifford(gate, targets)
+            _clifford_full_width(ref, gate, targets)
+        assert all(t.stabilizer_group_contains(row) == +1 for row in ref.stabilizer_rows())
+        t.check_invariants()
+    assert n_random > 0
 
 
 def test_forced_with_an_outcome_source_is_rejected():
