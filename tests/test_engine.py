@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, random_state
 from mbqc.engine import (BranchRecord, MeasurementCommand, MeasurementPattern,
@@ -239,23 +241,24 @@ def test_apply_frame_on_both_backends():
 
 
 def random_clifford_pattern(n, n_out, rng):
-    """Random graph measured in order, angles multiples of pi/2, some Z."""
-    g = random_graph(n, rng, p=0.4)
-    commands, seen = [], []
-    for site in range(n - n_out):
-        if rng.random() < 0.2:
+    """Random graph measured in a random order: XY commands at multiples of
+    pi/2 (Z-plane 1 in 10) with random s/t dependencies on earlier commands,
+    and random corrections onto the outputs."""
+    order = rng.permutation(n).tolist()
+    measured, outputs = order[:n - n_out], order[n - n_out:]
+    commands = []
+    for k, site in enumerate(measured):
+        if rng.random() < 0.1:
             commands.append(MeasurementCommand(site, "Z"))
         else:
-            deps = [s for s in seen if rng.random() < 0.3]
-            commands.append(MeasurementCommand(
-                site, "XY", int(rng.integers(4)) * math.pi / 2,
-                s_deps=frozenset(deps[:1]), t_deps=frozenset(deps[1:2])))
-        seen.append(site)
-    outputs = list(range(n - n_out, n))
-    corrections = {s: {"x_on": [outputs[s % n_out]], "z_on": [outputs[0]]}
-                   for s in seen[::2]}
-    return MeasurementPattern(g, [], outputs, commands, corrections)
-
+            s_deps, t_deps = (frozenset(d for d in measured[:k] if rng.random() < 0.3)
+                              for _ in range(2))
+            commands.append(MeasurementCommand(site, "XY", int(rng.integers(4)) * math.pi / 2,
+                                               s_deps, t_deps))
+    corrections = {s: {axis: [o for o in outputs if rng.random() < 0.5]
+                       for axis in ("x_on", "z_on")}
+                   for s in measured if rng.random() < 0.5}
+    return MeasurementPattern(random_graph(n, rng, p=0.4), [], outputs, commands, corrections)
 
 @pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
 def test_every_branch_replays_under_forced_run(backend, rng):
@@ -297,3 +300,29 @@ def test_long_clifford_chain_on_stabilizer_backend():
     rec = run_pattern(p, backend="stabilizer", randomness=5)
     assert len(rec.outcomes) == n - 1
     assert rec.output_state.n == 1
+
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_backends_agree_on_every_branch(seed):
+    """The statevector and stabilizer backends walk the same outcome tree:
+    the same outcomes with the same probabilities and frames, and outputs
+    that agree up to phase once each is frame-corrected."""
+    from mbqc.tableau import tableau_to_statevector
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    p = random_clifford_pattern(n, int(rng.integers(0, min(n, 3) + 1)), rng)
+    note(p.to_json())
+    assert validate_pattern(p) == []
+    sv = {tuple(sorted(b.outcomes.items())): b for b in enumerate_branches(p)}
+    stab = {tuple(sorted(b.outcomes.items())): b
+            for b in enumerate_branches(p, backend="stabilizer")}
+    assert sv.keys() == stab.keys()
+    for key, a in sv.items():
+        b = stab[key]
+        assert abs(a.probability - b.probability) < 1e-12
+        assert a.frame == b.frame
+        want = apply_frame(a.output_state, a.frame, p.output_sites)
+        got = tableau_to_statevector(apply_frame(b.output_state, b.frame, p.output_sites))
+        assert fidelity_up_to_phase(got, want) > 1 - 1e-9
