@@ -292,13 +292,13 @@ def _build_parser() -> _CliParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", default=None, help="write the pattern JSON here")
     common(p)
-    p.set_defaults(func=_cmd_compile, layer="engine")
+    p.set_defaults(func=_cmd_compile, layer="compiler")
 
     p = sub.add_parser("partition", help="spin-model partition function")
     p.add_argument("--model", required=True)
     p.add_argument("--method", choices=("overlap", "brute"), default="overlap")
     common(p, cap=True)
-    p.set_defaults(func=_cmd_partition, layer="statevector")
+    p.set_defaults(func=_cmd_partition, layer="statmech")
 
     p = sub.add_parser("slice", help="project a cluster slice into a surface code")
     p.add_argument("--layout", required=True)
@@ -306,7 +306,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--verify", action="store_true")
     p.add_argument("--force-outcomes", default=None, metavar="SITE=BIT,...")
     common(p, seed=True)
-    p.set_defaults(func=_cmd_slice, layer="tableau")
+    p.set_defaults(func=_cmd_slice, layer="surface")
 
     p = sub.add_parser("percolation", help="site-defect spanning statistics")
     p.add_argument("--rows", type=int, default=50)

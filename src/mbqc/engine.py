@@ -18,10 +18,10 @@ supplies only a step (the outcomes to follow, by ``_follow``, plus a
 collapse onto a chosen outcome) and an output extraction.  The
 statevector step projects out each measured qubit, so the state halves
 with every measurement and exhausting 2^k branches costs about k
-full-state passes rather than 2^k.  In a run the stabilizer step is one
-in-place ``Tableau.measure_pauli`` per command, which reads the qubit's
-column once and asks the run's source for the outcome; enumeration copies
-the tableau only for a pending sibling branch.
+full-state passes rather than 2^k.  The stabilizer step is one in-place
+``Tableau.measure_pauli`` per followed outcome, which reads the qubit's
+column once and picks the first outcome to follow; an enumeration copies
+the tableau before measuring, and the copy takes the second outcome.
 """
 from __future__ import annotations
 
@@ -247,7 +247,7 @@ def _prepare_statevector(p: MeasurementPattern,
     if n > cap:
         raise CapacityError(f"resource has {n} sites, cap {cap}")
     if input_state is None:
-        state = StateVector.plus_state(n) if n else StateVector(0, np.ones(1))
+        state = StateVector.plus_state(n)
     else:
         if input_state.n != len(p.input_sites):
             raise ValidationError("input state size does not match input sites")
@@ -317,13 +317,12 @@ def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: st
         c = p.commands[idx]
         theta = c.effective_angle(outcomes) if c.plane == "XY" else 0.0
         chosen, collapse = step(state, c, theta, src)
-        # push outcome 1 first so 0 is walked first; only the last collapse
-        # may consume ``state`` and ``outcomes``
+        # push outcome 1 first so 0 is walked first; the last pushed branch
+        # takes ``outcomes`` over
         for m, pm in reversed(chosen):
-            last = m == chosen[0][0]
-            branch = outcomes if last else dict(outcomes)
+            branch = outcomes if m == chosen[0][0] else dict(outcomes)
             branch[c.site] = m
-            stack.append((idx + 1, collapse(m, last), branch, prob * pm,
+            stack.append((idx + 1, collapse(m), branch, prob * pm,
                           log2_prob + math.log2(pm)))
     return records
 
@@ -339,13 +338,13 @@ def _follow(src: Optional[OutcomeSource], site: int, p0: float) -> list[tuple[in
 
 
 class _FlippedSource(OutcomeSource):
-    """A run's source as seen by a tableau that measures a Pauli whose
-    outcome is the command's XOR ``flip``: each choice goes to the run's
-    source in the command's terms, so draws, forced outcomes and
-    contradictions are the command's; ``followed`` keeps what ``_follow``
-    would return."""
+    """The walker's source as seen by a tableau that measures a Pauli whose
+    outcome is the command's XOR ``flip``: each choice is ``_follow``'s in
+    the command's terms, so draws, forced outcomes and contradictions are
+    the command's; ``followed`` keeps what ``_follow`` returned, and the
+    tableau takes its first outcome."""
 
-    def __init__(self, src: OutcomeSource, flip: int):
+    def __init__(self, src: Optional[OutcomeSource], flip: int):
         self.src, self.flip = src, flip
 
     def choose(self, key: int, p0: float) -> int:
@@ -358,9 +357,8 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
     """(initial state, step, output) for one backend.
 
     ``step(state, command, theta, src)`` returns the outcomes to follow
-    with their probabilities (``_follow``) and ``collapse(m, last)``, the
-    post-measurement state for outcome m; ``last`` says ``state`` is not
-    needed again and may be updated in place.
+    with their probabilities (``_follow``) and ``collapse(m)``, the
+    post-measurement state for each of them.
     """
     if backend == "statevector":
         def sv_step(state, c, theta, src):
@@ -368,7 +366,7 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
             pos = live.index(c.site)
             c0, p0 = _project(sv, pos, c.plane, theta, 0)
 
-            def collapse(m, last):
+            def collapse(m):
                 cm, pm = (c0, p0) if m == 0 else _project(sv, pos, c.plane, theta, 1)
                 post = StateVector(sv.n - 1, cm / math.sqrt(pm))
                 return post, live[:pos] + live[pos + 1:]
@@ -392,19 +390,16 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
 
         def stab_step(t, c, theta, src):
             basis, flip = ("Z", 0) if c.plane == "Z" else _angle_to_pauli(theta)
-            if src is not None:           # one branch: measure once, in place
-                flipped = _FlippedSource(src, flip)
-                t.measure_pauli(basis, c.site, flipped)
-                return flipped.followed, lambda m, last: t
-            if not t.outcome_is_random(basis, c.site):
-                m = t.measure_pauli(basis, c.site) ^ flip
-                return _follow(None, c.site, 1.0 if m == 0 else 0.0), lambda m, last: t
+            sibling = t.copy() if src is None else None
+            flipped = _FlippedSource(src, flip)
+            first = t.measure_pauli(basis, c.site, flipped) ^ flip
 
-            def collapse(m, last):
-                t2 = t if last else t.copy()
-                t2.measure_pauli(basis, c.site, forced=m ^ flip)
-                return t2
-            return _follow(None, c.site, 0.5), collapse
+            def collapse(m):
+                if m == first:
+                    return t
+                sibling.measure_pauli(basis, c.site, forced=m ^ flip)
+                return sibling
+            return flipped.followed, collapse
 
         return (graph_state_tableau(p.resource), stab_step,
                 lambda t: extract_subtableau(t, p.output_sites))
@@ -427,23 +422,14 @@ def apply_frame(state: Union[StateVector, Tableau], frame: PauliFrame,
                 output_sites: Sequence[int]) -> Union[StateVector, Tableau]:
     """Apply the frame's X then Z correction to each output qubit."""
     out_index = {s: i for i, s in enumerate(output_sites)}
-    if isinstance(state, Tableau):
-        t = state.copy()
-        for s, e in frame.x.items():
-            if e:
-                t.apply_clifford("X", [out_index[s]])
-        for s, e in frame.z.items():
-            if e:
-                t.apply_clifford("Z", [out_index[s]])
-        return t
-    sv = state.copy()
-    for s, e in frame.x.items():
-        if e:
-            apply_pauli(sv, "X", out_index[s])
-    for s, e in frame.z.items():
-        if e:
-            apply_pauli(sv, "Z", out_index[s])
-    return sv
+    out = state.copy()
+    for gate, exponents in (("X", frame.x), ("Z", frame.z)):
+        for q in (out_index[s] for s, e in exponents.items() if e):
+            if isinstance(out, Tableau):
+                out.apply_clifford(gate, [q])
+            else:
+                apply_pauli(out, gate, q)
+    return out
 
 
 def check_determinism(branches: Sequence[BranchRecord], reference: StateVector,

@@ -21,7 +21,8 @@ import pytest
 from conftest import random_graph, schema_validator
 from mbqc import engine, pauli, tableau
 from mbqc.compiler import Circuit
-from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern, validate_pattern
+from mbqc.engine import (MeasurementCommand, MeasurementPattern, enumerate_branches, run_pattern,
+                         validate_pattern)
 from mbqc.graphs import Graph, LatticeSpec
 from mbqc.pauli import unpack_bits
 from mbqc.rng import OutcomeSource
@@ -57,6 +58,15 @@ def test_every_tracing_target_resolves(monkeypatch):
     assert missing == []
 
 
+def _clifford_pattern(n, rng):
+    """Random graph measured in a random order, each command XY at a
+    multiple of pi/2 or (3 in 10) Z; the last two sites are the outputs."""
+    commands = [MeasurementCommand(s, "Z", 0.0) if rng.random() < 0.3 else
+                MeasurementCommand(s, "XY", int(rng.integers(4)) * math.pi / 2)
+                for s in rng.permutation(n - 2).tolist()]
+    return MeasurementPattern(random_graph(n, rng, p=0.3), [], [n - 2, n - 1], commands)
+
+
 def test_stabilizer_run_measures_once_per_command(rng, monkeypatch):
     """One ``measure_pauli`` per command reads the qubit's column once; the
     run's source is asked once per command, with p0 = 1 or 0 for the
@@ -81,17 +91,41 @@ def test_stabilizer_run_measures_once_per_command(rng, monkeypatch):
     monkeypatch.setattr(Tableau, "outcome_is_random", no_query)
     n_commands = 0
     for seed in range(8):
-        n = 12
-        commands = [MeasurementCommand(s, "Z", 0.0) if rng.random() < 0.3 else
-                    MeasurementCommand(s, "XY", int(rng.integers(4)) * math.pi / 2)
-                    for s in rng.permutation(n - 2).tolist()]
-        p = MeasurementPattern(random_graph(n, rng, p=0.3), [], [n - 2, n - 1], commands)
+        p = _clifford_pattern(12, rng)
         assert validate_pattern(p) == []
         rec = run_pattern(p, backend="stabilizer", randomness=seed)
-        n_commands += len(commands)
-        assert len(rec.outcomes) == len(commands)
+        n_commands += len(p.commands)
+        assert len(rec.outcomes) == len(p.commands)
         assert calls["measure"] == calls["choose"] == n_commands
     assert calls["deterministic"] > 0
+
+
+def test_stabilizer_enumeration_measures_once_per_edge(rng, monkeypatch):
+    """Enumeration measures each followed outcome once: one ``measure_pauli``
+    per edge of the outcome tree, that is per distinct outcome prefix across
+    the returned branches, and ``outcome_is_random`` is not called."""
+    calls = {"measure": 0}
+    measure = Tableau.measure_pauli
+
+    def counting_measure(self, *args, **kwargs):
+        calls["measure"] += 1
+        return measure(self, *args, **kwargs)
+
+    def no_query(self, *args, **kwargs):
+        raise AssertionError("outcome_is_random called in an enumeration")
+
+    monkeypatch.setattr(Tableau, "measure_pauli", counting_measure)
+    monkeypatch.setattr(Tableau, "outcome_is_random", no_query)
+    pruned = False
+    for _ in range(8):
+        p = _clifford_pattern(10, rng)
+        calls["measure"] = 0
+        branches = enumerate_branches(p, backend="stabilizer")
+        edges = {tuple(b.outcomes[c.site] for c in p.commands[:k + 1])
+                 for b in branches for k in range(len(p.commands))}
+        assert calls["measure"] == len(edges)
+        pruned |= len(branches) < 2 ** len(p.commands)
+    assert pruned      # deterministic outcomes were met
 
 
 def test_measurement_keeps_destabilizers_sparse(monkeypatch):

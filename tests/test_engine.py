@@ -260,6 +260,7 @@ def random_clifford_pattern(n, n_out, rng):
                    for s in measured if rng.random() < 0.5}
     return MeasurementPattern(random_graph(n, rng, p=0.4), [], outputs, commands, corrections)
 
+
 @pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
 def test_every_branch_replays_under_forced_run(backend, rng):
     patterns = [random_clifford_pattern(8, 2, rng) for _ in range(3)]
@@ -300,7 +301,6 @@ def test_long_clifford_chain_on_stabilizer_backend():
     rec = run_pattern(p, backend="stabilizer", randomness=5)
     assert len(rec.outcomes) == n - 1
     assert rec.output_state.n == 1
-
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -225,7 +225,7 @@ def test_fused_step_matches_measure_then_compact(n, rng):
                 assert abs(measure_probability(sv, q, plane, theta, m) - p_ref) < 1e-12
                 _, measured = measure_angle(sv, q, plane, theta, forced=m)
                 inline = compact(measured, q)
-                post, live = collapse(m, False)
+                post, live = collapse(m)
                 assert live == [k for k in range(n) if k != q]
                 assert fidelity_up_to_phase(post, inline) >= 1 - 1e-12
                 assert fidelity_up_to_phase(post, post_ref) >= 1 - 1e-12
