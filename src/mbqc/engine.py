@@ -10,18 +10,21 @@ state on the output sites together with the Pauli frame implied by the
 pattern's correction table, and ``check_determinism`` applies frames
 explicitly.
 
-One depth-first walker executes patterns on both backends.
-``run_pattern`` follows the single branch an ``OutcomeSource`` picks;
-``enumerate_branches`` follows every outcome of probability at least
-``PROB_TOL``, sharing measurement prefixes between branches.  A backend
-supplies only a step (the outcomes to follow, by ``_follow``, plus a
-collapse onto a chosen outcome) and an output extraction.  The
-statevector step projects out each measured qubit, so the state halves
-with every measurement and exhausting 2^k branches costs about k
-full-state passes rather than 2^k.  The stabilizer step is one in-place
-``Tableau.measure_pauli`` per followed outcome, which reads the qubit's
-column once and picks the first outcome to follow; an enumeration copies
-the tableau before measuring, and the copy takes the second outcome.
+One level-synchronous walker executes patterns on both backends:
+``run_pattern`` follows the branch an ``OutcomeSource`` picks, and
+``enumerate_branches`` every outcome of probability at least ``PROB_TOL``.
+Every live branch takes one command at a time, so branches come out in
+lexicographic command order, outcome 0 first.  A backend supplies a step
+(one command on every branch of a level: what each follows, by
+``_follow``, and the children's level) and an output extraction; all
+frames come from one GF(2) product.  A statevector level is one
+``branches x 2^live`` array, since branches at one depth hold the same
+live qubits: one projection per command serves them all, and as measured
+qubits are projected out a level holds at most 2^n amplitudes
+(``SV_TRANSIENT`` bounds the walk's peak).  The stabilizer step loops
+over the level's tableaux: an in-place ``Tableau.measure_pauli`` takes
+the first followed outcome, and in an enumeration a copy made before it
+takes the second.
 """
 from __future__ import annotations
 
@@ -33,15 +36,16 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (CapacityError, ValidationError, json_array, json_index, json_int,
-                     json_number, json_object)
+from .errors import (CapacityError, ValidationError, check_memory, json_array, json_index,
+                     json_int, json_number, json_object)
 from .graphs import Graph
 from .rng import PROB_TOL, OutcomeSource, as_outcome_source
-from .statevector import (DEFAULT_CAP, StateVector, _project, apply_cz, apply_pauli,
-                          extract_qubits, fidelity_up_to_phase, permute_qubits, tensor)
+from .statevector import (DEFAULT_CAP, StateVector, _probability0, _project, apply_cz,
+                          apply_pauli, fidelity_up_to_phase, permute_qubits, tensor)
 from .tableau import Tableau, extract_subtableau, graph_state_tableau, tableau_to_statevector
 
 HALF_PI = math.pi / 2.0
+SV_TRANSIENT = 3     # peak 2^n-amplitude arrays of a walk: a level, its children, a gather
 
 
 @dataclass(frozen=True)
@@ -120,19 +124,6 @@ class MeasurementPattern:
     @property
     def measured_sites(self) -> tuple[int, ...]:
         return tuple(c.site for c in self.commands)
-
-    def frame_for(self, outcomes: Mapping[int, int]) -> PauliFrame:
-        x = {o: 0 for o in self.output_sites}
-        z = {o: 0 for o in self.output_sites}
-        for site, rule in self.corrections.items():
-            m = outcomes.get(site, 0) & 1
-            if not m:
-                continue
-            for o in rule["x_on"]:
-                x[o] ^= 1
-            for o in rule["z_on"]:
-                z[o] ^= 1
-        return PauliFrame(x, z)
 
     # -- JSON ---------------------------------------------------------------
 
@@ -246,6 +237,7 @@ def _prepare_statevector(p: MeasurementPattern,
     n = p.resource.n_vertices
     if n > cap:
         raise CapacityError(f"resource has {n} sites, cap {cap}")
+    check_memory(SV_TRANSIENT * 16 << n, f"a {n}-qubit statevector walk")
     if input_state is None:
         state = StateVector.plus_state(n)
     else:
@@ -299,32 +291,43 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
 
 def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
           cap: int, src: Optional[OutcomeSource]) -> list[BranchRecord]:
-    """Depth-first walk over the commands, outcome 0 before outcome 1.
+    """Level-synchronous walk: every live branch takes each command together,
+    its children in outcome order, the last taking over its outcome dict
+    (sites in command order).  With a source, follow the outcome its
+    ``choose`` picks; without one, every outcome of probability >= PROB_TOL."""
+    level, step, output = _backend(p, input_state, backend, cap)
+    branches = [({}, 1.0, 0.0)]        # (outcomes, probability, log2 probability)
+    for c in p.commands:        # a Z command ignores its angle
+        followed, level = step(level, c, [c.effective_angle(b[0]) for b in branches], src)
+        children = []
+        for (o, prob, log2_prob), chosen in zip(branches, followed):
+            last = chosen[-1][0]
+            for m, pm in chosen:
+                branch = o if m == last else dict(o)
+                branch[c.site] = m
+                children.append((branch, prob * pm, log2_prob + math.log2(pm)))
+        branches = children
+    return [BranchRecord(o, frame, state, prob, p.output_sites, log2_prob)
+            for (o, prob, log2_prob), frame, state
+            in zip(branches, _frames(p, [b[0] for b in branches]), output(level))]
 
-    With a source, follow the one outcome ``OutcomeSource.choose`` picks per
-    command; without one, follow every outcome of probability >= PROB_TOL.
-    The stack is explicit because patterns run to thousands of commands.
-    """
-    state, step, output = _backend(p, input_state, backend, cap)
-    records: list[BranchRecord] = []
-    stack = [(0, state, {}, 1.0, 0.0)]
-    while stack:
-        idx, state, outcomes, prob, log2_prob = stack.pop()
-        if idx == len(p.commands):
-            records.append(BranchRecord(outcomes, p.frame_for(outcomes), output(state),
-                                        prob, p.output_sites, log2_prob))
-            continue
-        c = p.commands[idx]
-        theta = c.effective_angle(outcomes) if c.plane == "XY" else 0.0
-        chosen, collapse = step(state, c, theta, src)
-        # push outcome 1 first so 0 is walked first; the last pushed branch
-        # takes ``outcomes`` over
-        for m, pm in reversed(chosen):
-            branch = outcomes if m == chosen[0][0] else dict(outcomes)
-            branch[c.site] = m
-            stack.append((idx + 1, collapse(m), branch, prob * pm,
-                          log2_prob + math.log2(pm)))
-    return records
+
+def _frames(p: MeasurementPattern, outcomes: Sequence[dict]) -> list[PauliFrame]:
+    """Every branch's frame from one GF(2) product: the outcome matrix (a row per
+    branch, in command order) times the correction table (a row per command:
+    the X then Z exponents its outcome toggles).  Equal frames share one object."""
+    outs, n = p.output_sites, len(p.output_sites)
+    row, col = {c.site: k for k, c in enumerate(p.commands)}, {o: j for j, o in enumerate(outs)}
+    table = np.zeros((len(p.commands), 2 * n), dtype=np.int64)
+    for site, rule in p.corrections.items():
+        for j in [col[o] for o in rule["x_on"]] + [n + col[o] for o in rule["z_on"]]:
+            table[row[site], j] ^= 1
+    bits = np.array([list(o.values()) for o in outcomes], dtype=np.int64)
+    xz = ((bits.reshape(len(outcomes), len(p.commands)) @ table) & 1).tolist()
+    made: dict[tuple, PauliFrame] = {}
+    return [made.get(f) or made.setdefault(f, PauliFrame(dict(zip(outs, f[:n])),
+                                                         dict(zip(outs, f[n:]))))
+            for f in map(tuple, xz)]
 
 
 def _follow(src: Optional[OutcomeSource], site: int, p0: float) -> list[tuple[int, float]]:
@@ -354,33 +357,28 @@ class _FlippedSource(OutcomeSource):
 
 def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
              cap: int):
-    """(initial state, step, output) for one backend.
-
-    ``step(state, command, theta, src)`` returns the outcomes to follow
-    with their probabilities (``_follow``) and ``collapse(m)``, the
-    post-measurement state for each of them.
-    """
+    """(root level, step, output) for one backend.  ``step(level, command,
+    thetas, src)`` returns what each branch follows (``_follow``) and the
+    children's level in order; ``output(level)`` each leaf's output state."""
     if backend == "statevector":
-        def sv_step(state, c, theta, src):
-            sv, live = state              # live: site held by each qubit
+        def sv_step(level, c, thetas, src):
+            amps, live = level            # one row per branch; live: site held by each qubit
             pos = live.index(c.site)
-            c0, p0 = _project(sv, pos, c.plane, theta, 0)
+            followed = [_follow(src, c.site, p0)
+                        for p0 in _probability0(amps, pos, c.plane, thetas).tolist()]
+            rows, ms = zip(*[(i, m) for i, chosen in enumerate(followed) for m, _ in chosen])
+            post, pm = _project(amps, pos, c.plane, thetas, rows, ms)
+            post /= np.sqrt(pm)[:, None]
+            return followed, (post, live[:pos] + live[pos + 1:])
 
-            def collapse(m):
-                cm, pm = (c0, p0) if m == 0 else _project(sv, pos, c.plane, theta, 1)
-                post = StateVector(sv.n - 1, cm / math.sqrt(pm))
-                return post, live[:pos] + live[pos + 1:]
-            return _follow(src, c.site, p0), collapse
+        def sv_output(level):
+            amps, live = level            # live: the output sites, ascending
+            axes = [0] + [1 + live.index(s) for s in p.output_sites]
+            out = amps.reshape((len(amps),) + (2,) * len(live)).transpose(axes)
+            return [StateVector(len(live), a) for a in out.reshape(len(amps), -1)]
 
-        def sv_output(state):
-            sv, live = state
-            if not p.output_sites:
-                return StateVector(0, np.ones(1))
-            return extract_qubits(sv, [live.index(s) for s in p.output_sites])
-
-        root = (_prepare_statevector(p, input_state, cap),
-                list(range(p.resource.n_vertices)))
-        return root, sv_step, sv_output
+        root = _prepare_statevector(p, input_state, cap).amps[None]
+        return (root, list(range(p.resource.n_vertices))), sv_step, sv_output
     if backend == "stabilizer":
         if input_state is not None:
             raise CapacityError("stabilizer backend does not take injected inputs")
@@ -388,21 +386,23 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
             raise CapacityError(
                 "stabilizer backend requires all angles to be multiples of pi/2")
 
-        def stab_step(t, c, theta, src):
-            basis, flip = ("Z", 0) if c.plane == "Z" else _angle_to_pauli(theta)
-            sibling = t.copy() if src is None else None
-            flipped = _FlippedSource(src, flip)
-            first = t.measure_pauli(basis, c.site, flipped) ^ flip
+        def stab_step(level, c, thetas, src):
+            followed, children = [], []
+            for t, theta in zip(level, thetas):
+                basis, flip = ("Z", 0) if c.plane == "Z" else _angle_to_pauli(theta)
+                sibling = t.copy() if src is None else None
+                flipped = _FlippedSource(src, flip)
+                raw = t.measure_pauli(basis, c.site, flipped)
+                followed.append(flipped.followed)
+                children.append(t)
+                if len(flipped.followed) > 1:       # the copy takes the second outcome
+                    sibling.measure_pauli(basis, c.site, forced=raw ^ 1)
+                    children.append(sibling)
+            return followed, children
 
-            def collapse(m):
-                if m == first:
-                    return t
-                sibling.measure_pauli(basis, c.site, forced=m ^ flip)
-                return sibling
-            return flipped.followed, collapse
-
-        return (graph_state_tableau(p.resource), stab_step,
-                lambda t: extract_subtableau(t, p.output_sites))
+        # pop each leaf, so its tableau is freed once its output is extracted
+        return ([graph_state_tableau(p.resource)], stab_step, lambda level: [
+            extract_subtableau(level.pop(), p.output_sites) for _ in range(len(level))][::-1])
     raise ValidationError(f"unknown backend {backend!r}")
 
 

@@ -4,8 +4,11 @@ Each class maps to one CLI exit code, so failures stay distinguishable
 end to end: validation -> 2, capacity -> 3, verification -> 4.  Input parsers
 type JSON fields as ``docs/schemas`` does, through ``json_int``/``json_number``/
 ``json_array``/``json_index``, and hold objects to the schemas' required and
-allowed keys through ``json_object``.
+allowed keys through ``json_object``.  ``check_memory`` is the one rule for
+sizes that cost memory: bytes needed against physical memory, checked
+before allocating.
 """
+import os
 
 
 class MbqcError(Exception):
@@ -26,6 +29,20 @@ class ContradictionError(MbqcError):
 
 class VerificationError(MbqcError):
     """A self-check that should hold by construction failed."""
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse, before anything is allocated, ``what`` when its ``need`` bytes
+    exceed physical memory."""
+    have = physical_memory()
+    if need > have:
+        raise CapacityError(f"{what} needs {need} bytes, "
+                            f"more than the {have} bytes of physical memory")
 
 
 def json_int(value, what: str) -> int:

@@ -13,7 +13,8 @@ product goes through one kernel, ``_mul_rows``, which touches only the
 pivot's word span, with its phase from ``phase_exponent_mod4`` (two
 popcounts); the GF(2) eliminator ``_eliminate`` (output extraction,
 ``symplectic_rank``) and tableau measurement both call it; every
-whole-row commutation test is ``anticommuting`` (one popcount per row).
+whole-row commutation test is ``anticommuting`` (one popcount per row),
+or ``anticommutation_gram`` for every pair of rows at once.
 A one-qubit question (which rows anticommute with X, Y or Z on qubit q)
 is ``anticommuting_at`` on ``qubit_columns``, one read of q's x and z
 word columns.
@@ -115,6 +116,25 @@ def anticommuting(xs: np.ndarray, zs: np.ndarray, x: np.ndarray, z: np.ndarray) 
     """Which packed rows (xs, zs) anticommute with the packed Pauli (x, z), one
     bool per row: the parity of popcount((xs & z) ^ (zs & x)) along the last axis."""
     return (np.bitwise_count((xs & z) ^ (zs & x)).sum(axis=-1) & 1).astype(bool)
+
+
+def anticommutation_gram(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Bool Gram matrix g[i, j]: packed rows i and j anticommute.  For a block
+    of rows against all rows, the words of (x_i & z_j) ^ (z_i & x_j) are
+    XORed together one word column at a time into one word per pair, whose
+    popcount parity is the entry; a block holds about 2^20 words (8 MB)."""
+    rows, w = xs.shape
+    xt, zt = np.ascontiguousarray(xs.T), np.ascontiguousarray(zs.T)
+    gram = np.empty((rows, rows), dtype=bool)
+    step = max(1, (1 << 20) // max(1, rows))
+    for a in range(0, rows, step):
+        acc = np.zeros((len(xs[a:a + step]), rows), dtype=np.uint64)
+        tmp = np.empty_like(acc)
+        for k in range(w):
+            acc ^= np.bitwise_and(xs[a:a + step, k, None], zt[k], out=tmp)
+            acc ^= np.bitwise_and(zs[a:a + step, k, None], xt[k], out=tmp)
+        gram[a:a + step] = np.bitwise_count(acc) & 1
+    return gram
 
 
 def phase_exponent_mod4(x1: np.ndarray, z1: np.ndarray,

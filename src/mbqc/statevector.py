@@ -10,7 +10,8 @@ sizes.  Conventions, fixed once for the whole package:
   ``|-_theta> = (|0> - e^{i theta}|1>)/sqrt(2)`` (outcome 1);
 * Z-plane outcome m projects onto ``|m>``;
 * ``measure_angle`` leaves the measured qubit in place until an explicit
-  ``compact``; the engine's step projects it out directly (``_project``).
+  ``compact``; the engine's step projects it out directly (``_project``,
+  which works on a stack of states, one per row, as does ``_probability0``).
 
 Default capacity is 22 qubits; operations beyond a cap fail fast with
 CapacityError instead of thrashing memory.
@@ -128,24 +129,51 @@ def apply_pauli(state: StateVector, kind: str, qubit: int) -> StateVector:
     return state
 
 
-def _project(state: StateVector, qubit: int, plane: str, theta: float,
-             m: int) -> tuple[np.ndarray, float]:
-    """(c_m, p_m): outcome m's unnormalised post-state on the other qubits,
-    flat, and its probability ||c_m||^2.  c_m = (a0 +/- e^{-i theta} a1)/sqrt(2)
-    in the XY plane; in the Z plane c_m = a_m, which may be a view of
-    ``state``'s amplitudes, so callers must not write to it.
-    """
-    a0, a1, _ = state._split(qubit)
+def _halves(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of states (``rows x 2^n``) viewed as (rows, left, right) blocks
+    with ``qubit`` reading 0 and 1."""
+    shaped = amps.reshape(len(amps), 1 << qubit, 2, -1)
+    return shaped[:, :, 0], shaped[:, :, 1]
+
+
+def _probability0(amps: np.ndarray, qubit: int, plane: str, theta) -> np.ndarray:
+    """Per row of ``amps`` (``rows x 2^n``), the probability ||c_0||^2 of
+    outcome 0 (see ``_project``; ``theta`` has one angle per row), read from
+    inner products without forming c_0: ||a0||^2 in the Z plane, else
+    ||a||^2 / 2 + Re(e^{-i theta} <a0|a1>)."""
+    a0, a1 = _halves(amps, qubit)
     if plane == "Z":
-        c = (a1 if m else a0).reshape(-1)
+        return np.vecdot(a0, a0).real.sum(axis=1)
+    if plane != "XY":
+        raise ValidationError(f"plane must be XY or Z, got {plane!r}")
+    cross = np.exp(-1j * np.asarray(theta, dtype=float)) * np.vecdot(a0, a1).sum(axis=1)
+    return 0.5 * np.vecdot(amps, amps).real + cross.real
+
+
+def _project(amps: np.ndarray, qubit: int, plane: str, theta, rows, ms
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(c, p): row ``rows[k]`` of ``amps`` projected onto outcome ``ms[k]``
+    of measuring ``qubit``, unnormalised and flat on the other qubits, as
+    row k of c, and p[k] = ||c[k]||^2.  In the XY plane at row angle theta,
+    c_m = (a0 +/- e^{-i theta} a1)/sqrt(2); in the Z plane c_m = a_m.  One
+    numpy expression serves every row; beside ``amps`` it holds c and at
+    most one gathered half of the rows, never a view of ``amps``.
+    """
+    rows, ms = np.asarray(rows, dtype=np.intp), np.asarray(ms, dtype=np.intp)
+    if plane == "Z":
+        c = amps.reshape(len(amps), 1 << qubit, 2, -1)[rows, :, ms]
     elif plane == "XY":
-        c = a1 * ((-1.0 if m else 1.0) * cmath.exp(-1j * theta))
-        c += a0
+        a0, a1 = _halves(amps, qubit)
+        coef = (1 - 2 * ms) * np.exp(-1j * np.asarray(theta, dtype=float)[rows])
+        if np.array_equal(rows, np.arange(len(amps))):
+            rows = slice(None)              # each row once, in order: no gather
+        c = np.multiply(a1[rows], coef[:, None, None])
+        c += a0[rows]
         c *= _SQRT_HALF
-        c = c.reshape(-1)
     else:
         raise ValidationError(f"plane must be XY or Z, got {plane!r}")
-    return c, float(np.vdot(c, c).real)
+    c = c.reshape(len(ms), -1)
+    return c, np.vecdot(c, c).real
 
 
 def measure_angle(state: StateVector, qubit: int, plane: str, theta: float,
@@ -159,21 +187,22 @@ def measure_angle(state: StateVector, qubit: int, plane: str, theta: float,
     """
     src = as_outcome_source(randomness,
                             forced=None if forced is None else {qubit: forced})
-    c, prob = _project(state, qubit, plane, theta, 0)
-    m = src.choose(qubit, prob)
-    if m == 1:
-        c, prob = _project(state, qubit, plane, theta, 1)
+    state._bitpos(qubit)                    # validates the qubit
+    amps, theta = state.amps[None], [theta]
+    m = src.choose(qubit, float(_probability0(amps, qubit, plane, theta)[0]))
+    c, prob = _project(amps, qubit, plane, theta, [0], [m])
     # the measured qubit goes back in place as |m> or |+/-_theta>
     ket = ((1 - m, m) if plane == "Z" else
-           (_SQRT_HALF, (-1.0 if m else 1.0) * _SQRT_HALF * cmath.exp(1j * theta)))
-    c = c.reshape(1 << qubit, -1) / math.sqrt(prob)
+           (_SQRT_HALF, (-1.0 if m else 1.0) * _SQRT_HALF * cmath.exp(1j * theta[0])))
+    c = c.reshape(1 << qubit, -1) / math.sqrt(prob[0])
     return m, StateVector(state.n, np.stack([ket[0] * c, ket[1] * c], axis=1).reshape(-1))
 
 
 def measure_probability(state: StateVector, qubit: int, plane: str, theta: float,
                         m: int) -> float:
     """Probability of outcome ``m`` without collapsing."""
-    return _project(state, qubit, plane, theta, m)[1]
+    state._bitpos(qubit)
+    return float(_project(state.amps[None], qubit, plane, [theta], [0], [m])[1][0])
 
 
 class ProductState:

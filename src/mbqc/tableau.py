@@ -37,16 +37,16 @@ rows pass through ``+/-i``); every exposed row sign is real.
 """
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, VerificationError
+from .errors import CapacityError, ValidationError, VerificationError, check_memory
 from .graphs import Graph
-from .pauli import (PauliString, _eliminate, _mul_rows, anticommuting, anticommuting_at,
-                    clear_column, column, flip_bits, lone_qubits, n_words, pack_bits,
-                    phase_exponent_mod4, qubit_columns, set_single, unpack_bits, xor_column)
+from .pauli import (PauliString, _eliminate, _mul_rows, anticommutation_gram, anticommuting,
+                    anticommuting_at, clear_column, column, flip_bits, lone_qubits, n_words,
+                    pack_bits, phase_exponent_mod4, qubit_columns, set_single, unpack_bits,
+                    xor_column)
 from .rng import OutcomeSource, as_outcome_source
 
 # Debug mode: re-assert commutation structure and rank after every gate and
@@ -57,11 +57,7 @@ DEBUG_CHECKS = False
 def check_capacity(n: int) -> None:
     """Refuse ``n`` qubits when the packed rows of their tableau (2n rows of
     x and z words, 4*n*w words) exceed physical memory."""
-    need = 32 * n * n_words(n)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise CapacityError(f"a {n}-qubit tableau needs {need} bytes, "
-                            f"more than the {have} bytes of physical memory")
+    check_memory(32 * n * n_words(n), f"a {n}-qubit tableau")
 
 
 class Tableau:
@@ -281,27 +277,25 @@ class Tableau:
         return -1 if s ^ p.sign_bit else +1
 
     def check_invariants(self) -> None:
-        """Assert the tableau's structure (debug aid), one packed popcount per
-        row: no destabilizer has a sign, stabilizer rows commute pairwise, so do
-        destabilizer rows, and destabilizer ``i`` anticommutes with stabilizer
-        ``j`` iff ``i == j``, which makes the stabilizer rows independent.
+        """Assert the tableau's structure (debug aid): no destabilizer has a
+        sign, stabilizer rows commute pairwise, so do destabilizer rows, and
+        destabilizer ``i`` anticommutes with stabilizer ``j`` iff ``i == j``,
+        which makes the stabilizer rows independent.  One Gram matrix of
+        anticommutation over all 2n rows (``anticommutation_gram``) decides
+        all three; the first row ``i`` with a fault is reported.
         """
-        n = self.n
-        for i in range(n):
-            if self.signs[i]:
-                raise VerificationError(f"destabilizer row {i} has a sign")
-            anti = anticommuting(self.xs, self.zs, self.xs[n + i], self.zs[n + i])
-            bad = np.flatnonzero(anti[n:])
-            if bad.size:
-                raise VerificationError(f"stabilizer rows {i},{int(bad[0])} anticommute")
-            anti[i] ^= True
-            bad = np.flatnonzero(anti[:n])
-            if bad.size:
-                raise VerificationError(
-                    f"destabilizer pairing broken at ({i},{int(bad[0])})")
-            bad = np.flatnonzero(anticommuting(self.xs[:n], self.zs[:n], self.xs[i], self.zs[i]))
-            if bad.size:
-                raise VerificationError(f"destabilizer rows {i},{int(bad[0])} anticommute")
+        n, gram = self.n, anticommutation_gram(self.xs, self.zs)
+        gram[n:, :n] ^= np.eye(n, dtype=bool)
+        faults = [(self.signs[:n, None] != 0, "destabilizer row {i} has a sign"),
+                  (gram[n:, n:], "stabilizer rows {i},{j} anticommute"),
+                  (gram[n:, :n], "destabilizer pairing broken at ({i},{j})"),
+                  (gram[:n, :n], "destabilizer rows {i},{j} anticommute")]
+        rows = [(int(np.argmax(bad.any(axis=1))), k) for k, (bad, _) in enumerate(faults)
+                if bad.any()]
+        if rows:
+            i, k = min(rows)
+            bad, message = faults[k]
+            raise VerificationError(message.format(i=i, j=int(np.argmax(bad[i]))))
 
 
 def graph_state_tableau(graph: Graph) -> Tableau:

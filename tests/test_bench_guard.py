@@ -5,7 +5,8 @@ traced run checks ``tableau.measure.calls`` against the number of
 measurement commands in the inputs.  A renamed target or an extra
 ``measure_pauli`` call would break that run without failing any other test.
 Likewise a parser stricter than the inputs ``perfbench/workloads.py`` writes
-would fail benchmark jobs.
+would fail benchmark jobs, and a walk that projects per branch rather than
+per command would give back the ``branches`` job's time.
 """
 import importlib
 import importlib.util
@@ -126,6 +127,37 @@ def test_stabilizer_enumeration_measures_once_per_edge(rng, monkeypatch):
         assert calls["measure"] == len(edges)
         pruned |= len(branches) < 2 ** len(p.commands)
     assert pruned      # deterministic outcomes were met
+
+
+def test_statevector_walk_projects_once_per_command(rng, monkeypatch):
+    """The level walk projects every live branch of a command in one call:
+    enumerating a 14-command pattern (16,384 branches) makes at most one
+    ``_project`` call per command, not one per branch, and a seeded run
+    still asks its source once per command."""
+    calls = Counter()
+    project, choose = engine._project, OutcomeSource.choose
+
+    def counting_project(*args):
+        calls["project"] += 1
+        return project(*args)
+
+    def counting_choose(self, key, p0):
+        calls["choose"] += 1
+        return choose(self, key, p0)
+
+    monkeypatch.setattr(engine, "_project", counting_project)
+    monkeypatch.setattr(OutcomeSource, "choose", counting_choose)
+    n = 16
+    commands = [MeasurementCommand(s, "XY", float(rng.uniform(-np.pi, np.pi)))
+                for s in rng.permutation(n - 2).tolist()]
+    p = MeasurementPattern(random_graph(n, rng, p=0.3), [], [n - 2, n - 1], commands)
+    assert len(enumerate_branches(p)) == 2 ** 14
+    assert 0 < calls["project"] <= len(commands)
+    for seed in range(3):
+        calls.clear()
+        assert len(run_pattern(p, randomness=seed).outcomes) == len(commands)
+        assert calls["choose"] == len(commands)
+        assert calls["project"] <= len(commands)
 
 
 def test_measurement_keeps_destabilizers_sparse(monkeypatch):

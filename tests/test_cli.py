@@ -554,6 +554,49 @@ def test_graph_state_refuses_a_tableau_larger_than_memory(flag, files, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("capacity exceeded:")
 
 
+def _chain_pattern(path, n):
+    """An n-site chain measured at angle 0 site by site onto its last site."""
+    p = MeasurementPattern(Graph(n, [(v, v + 1) for v in range(n - 1)]), [], [n - 1],
+                           [MeasurementCommand(v, "XY", 0.0) for v in range(n - 1)])
+    path.write_text(p.to_json())
+    return str(path)
+
+
+def test_memory_is_checked_in_one_place_before_allocating(files, capsys, monkeypatch):
+    """A raised ``--cap`` or ``MBQC_CAP`` does not let a statevector walk
+    allocate past physical memory: with physical memory patched to what a
+    12-site walk needs (``SV_TRANSIENT`` times 16 * 2^12 bytes), 30 and 13
+    sites exit 3 with one line before allocating, 12 sites run, and the
+    tableau's size check obeys the same rule."""
+    from mbqc import errors
+    from mbqc.engine import SV_TRANSIENT
+    monkeypatch.setattr(errors, "physical_memory", lambda: SV_TRANSIENT * 16 << 12)
+    wide = _chain_pattern(files["tmp"] / "chain30.json", 30)
+    for flag, env in (("--cap", None), (None, "30")):
+        if env:
+            monkeypatch.setenv("MBQC_CAP", env)
+        tracemalloc.start()
+        try:
+            code = main(["run-pattern", "--pattern", wide] + ([flag, "30"] if flag else []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1 << 20
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("capacity exceeded: a 30-qubit statevector walk needs")
+    monkeypatch.delenv("MBQC_CAP")
+    for n, want in ((13, 3), (12, 0)):
+        path = _chain_pattern(files["tmp"] / f"chain{n}.json", n)
+        assert main(["branches", "--pattern", path, "--cap", "30"]) == want
+        capsys.readouterr()
+    lattice = files["tmp"] / "chain1000.json"
+    lattice.write_text(json.dumps({"kind": "chain", "dims": [1000]}))
+    assert main(["graph-state", "--lattice", str(lattice)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity exceeded: a 1000-qubit tableau needs")
+
+
 def test_percolation_imports_no_tableau_layer():
     """The CLI loads each layer inside the subcommands that use it."""
     probe = ("import sys; from mbqc.cli import main; "

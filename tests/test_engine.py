@@ -261,6 +261,41 @@ def random_clifford_pattern(n, n_out, rng):
     return MeasurementPattern(random_graph(n, rng, p=0.4), [], outputs, commands, corrections)
 
 
+def frame_oracle(p, outcomes):
+    """Per-branch frame by the rule the correction table states: every
+    measured site with outcome 1 toggles the X/Z exponents it lists."""
+    x = {o: 0 for o in p.output_sites}
+    z = {o: 0 for o in p.output_sites}
+    for site, rule in p.corrections.items():
+        if outcomes.get(site, 0) & 1:
+            for o in rule["x_on"]:
+                x[o] ^= 1
+            for o in rule["z_on"]:
+                z[o] ^= 1
+    return PauliFrame(x, z)
+
+
+@pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
+def test_enumeration_is_lexicographic_with_table_frames(backend, rng):
+    """Branches come out in lexicographic command order, outcome 0 first,
+    each outcome dict in command order, and every frame is the correction
+    table's rule applied branch by branch (a target listed twice cancels)."""
+    n_branches = 0
+    for n in (5, 7, 9):
+        p = random_clifford_pattern(n, 2, rng)
+        site = p.commands[-1].site
+        p.corrections[site] = {"x_on": p.output_sites[:1] * 2, "z_on": p.output_sites}
+        assert validate_pattern(p) == []
+        branches = enumerate_branches(p, backend=backend)
+        keys = [tuple(b.outcomes[c.site] for c in p.commands) for b in branches]
+        assert keys == sorted(set(keys))
+        n_branches += len(keys)
+        for b in branches:
+            assert list(b.outcomes) == [c.site for c in p.commands]
+            assert b.frame == frame_oracle(p, b.outcomes)
+    assert n_branches > 3 * 2
+
+
 @pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
 def test_every_branch_replays_under_forced_run(backend, rng):
     patterns = [random_clifford_pattern(8, 2, rng) for _ in range(3)]

@@ -209,24 +209,31 @@ def _projector_reference(sv, q, plane, theta, m):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fused_step_matches_measure_then_compact(n, rng):
-    # the engine's statevector step against compact(measure_angle(...)) and
-    # against a dense projector, for every qubit, plane and outcome
+    # the engine's statevector level step, on a level of two branches with
+    # their own angles, against compact(measure_angle(...)) and against a
+    # dense projector, for every qubit, plane and outcome
     pattern = MeasurementPattern(Graph(n, []), [], [], [])
     _, step, _ = _backend(pattern, None, "statevector", n)
     for q in range(n):
         for plane in ("XY", "Z"):
-            sv = random_state(n, rng)
-            theta = float(rng.uniform(-np.pi, np.pi)) if plane == "XY" else 0.0
-            followed, collapse = step((sv, list(range(n))), MeasurementCommand(q, plane),
-                                      theta, None)
-            for m in (0, 1):
-                p_ref, post_ref = _projector_reference(sv, q, plane, theta, m)
-                assert abs(dict(followed).get(m, 0.0) - p_ref) < 1e-12
-                assert abs(measure_probability(sv, q, plane, theta, m) - p_ref) < 1e-12
-                _, measured = measure_angle(sv, q, plane, theta, forced=m)
-                inline = compact(measured, q)
-                post, live = collapse(m)
-                assert live == [k for k in range(n) if k != q]
-                assert fidelity_up_to_phase(post, inline) >= 1 - 1e-12
-                assert fidelity_up_to_phase(post, post_ref) >= 1 - 1e-12
-                assert abs(post.norm() - 1) < 1e-12
+            svs = [random_state(n, rng) for _ in range(2)]
+            thetas = [float(rng.uniform(-np.pi, np.pi)) if plane == "XY" else 0.0
+                      for _ in svs]
+            level = (np.stack([sv.amps for sv in svs]), list(range(n)))
+            followed, (posts, live) = step(level, MeasurementCommand(q, plane), thetas, None)
+            rows = iter(posts)
+            children = [{m: StateVector(n - 1, next(rows)) for m, _ in chosen}
+                        for chosen in followed]
+            assert next(rows, None) is None
+            for sv, theta, chosen, kids in zip(svs, thetas, followed, children):
+                for m in (0, 1):
+                    p_ref, post_ref = _projector_reference(sv, q, plane, theta, m)
+                    assert abs(dict(chosen).get(m, 0.0) - p_ref) < 1e-12
+                    assert abs(measure_probability(sv, q, plane, theta, m) - p_ref) < 1e-12
+                    _, measured = measure_angle(sv, q, plane, theta, forced=m)
+                    inline = compact(measured, q)
+                    post = kids[m]
+                    assert live == [k for k in range(n) if k != q]
+                    assert fidelity_up_to_phase(post, inline) >= 1 - 1e-12
+                    assert fidelity_up_to_phase(post, post_ref) >= 1 - 1e-12
+                    assert abs(post.norm() - 1) < 1e-12

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import mul_rows_full_width, random_graph
 from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern
 from mbqc.errors import ContradictionError, ValidationError
 from mbqc.graphs import Graph
-from mbqc.pauli import PauliString, pack_bits, unpack_bits
+from mbqc.pauli import PauliString, anticommuting, pack_bits, unpack_bits
 from mbqc.rng import PROB_TOL, OutcomeSource, make_rng
 from mbqc.statevector import (StateVector, fidelity_up_to_phase, graph_state_vector,
                               measure_angle, measure_probability)
@@ -631,6 +633,55 @@ def test_check_invariants_catches_a_destabilizer_sign(rng):
     t.signs[5] = 1
     with pytest.raises(VerificationError, match="destabilizer row 5 has a sign"):
         t.check_invariants()
+
+
+def _first_fault(t):
+    """The message the structure check gives, found row by row: for each i
+    in turn, a destabilizer sign, then stabilizer i against the stabilizers,
+    then against the destabilizers (expect only destabilizer i), then
+    destabilizer i against the destabilizers."""
+    n, d, s = t.n, slice(0, t.n), slice(t.n, 2 * t.n)
+    for i in range(n):
+        if t.signs[i]:
+            return f"destabilizer row {i} has a sign"
+        checks = [(s, n + i, False, "stabilizer rows {},{} anticommute"),
+                  (d, n + i, True, "destabilizer pairing broken at ({},{})"),
+                  (d, i, False, "destabilizer rows {},{} anticommute")]
+        for rows, row, paired, message in checks:
+            bad = anticommuting(t.xs[rows], t.zs[rows], t.xs[row], t.zs[row])
+            bad[i] ^= paired
+            if bad.any():
+                return message.format(i, int(np.flatnonzero(bad)[0]))
+    return None
+
+
+def test_check_invariants_catches_every_one_bit_corruption(rng):
+    """Flip one x, z or destabilizer sign bit: the check raises the message
+    of a row-by-row search, or passes where that search finds no fault, and
+    each of the four kinds of fault is met."""
+    from mbqc.errors import VerificationError
+    n = 70                                      # two words per row
+    clean = _scrambled_tableau(n, rng, 30)
+    assert _first_fault(clean) is None
+    kinds = set()
+    for _ in range(60):
+        t = clean.copy()
+        what, row, q = str(rng.choice(["x", "z", "sign"])), int(rng.integers(2 * n)), int(
+            rng.integers(n))
+        if what == "sign":
+            t.signs[row % n] = 1
+        else:
+            bits = t.xs if what == "x" else t.zs
+            bits[row, q >> 6] ^= np.uint64(1 << (q & 63))
+        want = _first_fault(t)
+        if want is None:            # e.g. the flipped row is the only one with the other bit
+            t.check_invariants()
+            continue
+        with pytest.raises(VerificationError) as err:
+            t.check_invariants()
+        assert str(err.value) == want
+        kinds.add(re.sub(r"\d+", "#", want))
+    assert len(kinds) == 4
 
 
 def test_deterministic_outcome_is_group_membership(rng):
