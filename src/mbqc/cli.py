@@ -5,11 +5,12 @@ slice, percolation.  Exit codes: 0 success, 2 validation error (including
 usage), 3 capacity exceeded (including running out of memory), 4
 verification failure.
 
-``--json-out`` writes a deterministic report (same argv give byte-identical
-files; wall time appears only on stdout).  ``--seed`` (run-pattern, slice,
-percolation) seeds the outcome and defect draws.  ``--cap``
-(run-pattern, branches, partition) overrides the statevector qubit cap,
-defaulting to the ``MBQC_CAP`` environment variable when set.
+Every report is one compact JSON line with sorted keys.  ``--json-out``
+writes it deterministically (same argv give byte-identical files); stdout
+prints the same line with ``wall_time_ms`` as its last key.  ``--seed``
+(run-pattern, slice, percolation) seeds the outcome and defect draws.
+``--cap`` (run-pattern, branches, partition) overrides the statevector
+qubit cap, defaulting to the ``MBQC_CAP`` environment variable when set.
 
 Each subcommand imports the layers it uses in its own body, so start-up
 loads only ``graphs`` (percolation needs nothing else).
@@ -96,11 +97,13 @@ def _report(args, result: dict) -> dict:
 
 
 def _emit(args, result: dict, wall_ms: float) -> None:
-    """Serialise once; stdout adds ``wall_time_ms``, which sorts last, before the ``}``."""
-    text = json.dumps(_report(args, result), sort_keys=True, indent=2)
+    """Serialise once, as one compact line with sorted keys (no indent, so
+    ``json`` takes its C encoder); ``--json-out`` gets that line, and stdout
+    the same with ``wall_time_ms``, which sorts last, put before the ``}``."""
+    text = json.dumps(_report(args, result), sort_keys=True, separators=(",", ":"))
     if args.json_out:
         _atomic_write(args.json_out, text + "\n")
-    print(f'{text[:-2]},\n  "wall_time_ms": {json.dumps(round(wall_ms, 3))}\n}}')
+    print(f'{text[:-1]},"wall_time_ms":{json.dumps(round(wall_ms, 3))}}}')
 
 
 def _resolve_cap(args) -> int:

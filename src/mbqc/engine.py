@@ -42,7 +42,8 @@ from .graphs import Graph
 from .rng import PROB_TOL, OutcomeSource, as_outcome_source
 from .statevector import (DEFAULT_CAP, StateVector, _probability0, _project, apply_cz,
                           apply_pauli, fidelity_up_to_phase, permute_qubits, tensor)
-from .tableau import Tableau, extract_subtableau, graph_state_tableau, tableau_to_statevector
+from .tableau import (Tableau, check_capacity, extract_subtableau, graph_state_tableau,
+                     tableau_to_statevector)
 
 HALF_PI = math.pi / 2.0
 SV_TRANSIENT = 3     # peak 2^n-amplitude arrays of a walk: a level, its children, a gather
@@ -278,7 +279,10 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
     """Exhaustively force every realizable outcome combination.
 
     Zero-probability combinations are pruned (they are not branches of the
-    computation); the returned probabilities sum to 1 within 1e-9.
+    computation); the returned probabilities sum to 1 within 1e-9.  On the
+    stabilizer backend a level holds up to 2^k whole tableaux for k
+    commands, so their packed rows are checked against physical memory
+    before any is built.
     """
     _require_valid(p)
     k = len(p.commands)
@@ -286,6 +290,8 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
         raise ValidationError(f"branch cap must be a non-negative count, got {branch_cap}")
     if 2 ** k > branch_cap:
         raise CapacityError(f"2^{k} branches exceed cap {branch_cap}")
+    if backend == "stabilizer":
+        check_capacity(p.resource.n_vertices, copies=2 ** k)
     return _walk(p, input_state, backend, cap, None)
 
 

@@ -37,6 +37,7 @@ rows pass through ``+/-i``); every exposed row sign is real.
 """
 from __future__ import annotations
 
+import os
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -49,15 +50,19 @@ from .pauli import (PauliString, _eliminate, _mul_rows, anticommutation_gram, an
                     xor_column)
 from .rng import OutcomeSource, as_outcome_source
 
-# Debug mode: re-assert commutation structure and rank after every gate and
-# measurement.  Costs O(n^2) per operation, so it is off by default.
-DEBUG_CHECKS = False
+
+def _invariant_checks_on() -> bool:
+    """Whether the ``MBQC_CHECK_INVARIANTS`` environment variable (any value
+    but empty or ``0``) asks for ``check_invariants`` after every gate and
+    measurement.  That costs O(n^2) per operation, so it is off by default."""
+    return os.environ.get("MBQC_CHECK_INVARIANTS", "0") not in ("", "0")
 
 
-def check_capacity(n: int) -> None:
-    """Refuse ``n`` qubits when the packed rows of their tableau (2n rows of
-    x and z words, 4*n*w words) exceed physical memory."""
-    check_memory(32 * n * n_words(n), f"a {n}-qubit tableau")
+def check_capacity(n: int, copies: int = 1) -> None:
+    """Refuse ``copies`` tableaux of ``n`` qubits when their packed rows (2n
+    rows of x and z words, 4*n*w words each) exceed physical memory."""
+    what = f"a {n}-qubit tableau" if copies == 1 else f"a level of {copies} {n}-qubit tableaux"
+    check_memory(copies * 32 * n * n_words(n), what)
 
 
 class Tableau:
@@ -147,7 +152,7 @@ class Tableau:
         elif gate == "CZ":
             xor_column(self.zs, a, xb)
             xor_column(self.zs, b, xa)
-        if DEBUG_CHECKS:
+        if _invariant_checks_on():
             self.check_invariants()
         return self
 
@@ -214,7 +219,7 @@ class Tableau:
         set_single(self.xs, self.zs, p - n, qubit, "Z" if basis == "X" else "X")
         set_single(self.xs, self.zs, p, qubit, basis)
         self.signs[p] = m
-        if DEBUG_CHECKS:
+        if _invariant_checks_on():
             self.check_invariants()
         return m
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import schema_validator
 from mbqc.cli import main
-from mbqc.engine import MeasurementCommand, MeasurementPattern
+from mbqc.engine import MeasurementCommand, MeasurementPattern, enumerate_branches
 from mbqc.graphs import Graph
 
 pytest.importorskip("jsonschema")
@@ -161,11 +161,52 @@ def test_stdout_is_the_json_out_report_plus_wall_time(files, capsys):
     out = files["tmp"] / "report.json"
     assert main(["graph-state", "--lattice", str(files["lattice"]),
                  "--json-out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines(keepends=True)
-    assert lines[-2].startswith('  "wall_time_ms": ') and lines[-1] == "}\n"
-    assert lines[-3].endswith(",\n")
-    stdout = "".join(lines[:-3]) + lines[-3][:-2] + "\n" + lines[-1]
-    assert stdout.encode() == out.read_bytes()
+    stdout = capsys.readouterr().out
+    head, key, wall = stdout.rpartition(',"wall_time_ms":')
+    assert key and wall.endswith("}\n") and float(wall[:-2]) >= 0
+    assert (head + "}\n").encode() == out.read_bytes()
+
+
+def test_every_report_is_one_compact_line_with_sorted_keys(files, capsys):
+    """stdout is one line: the compact, key-sorted encoding of its own
+    content, with ``wall_time_ms`` last; ``--json-out`` is the same line
+    without it."""
+    pat = _measured_pattern(files, capsys)
+    every_subcommand = {
+        "graph-state": ["graph-state", "--lattice", str(files["lattice"])],
+        "run-pattern": ["run-pattern", "--pattern", str(pat), "--seed", "3"],
+        "branches": ["branches", "--pattern", str(pat), "--backend", "stab"],
+        "compile": ["compile", "--circuit", str(files["circuit"])],
+        "partition": ["partition", "--model", str(files["model"])],
+        "slice": ["slice", "--layout", str(files["layout"]), "--holes", str(files["holes"]),
+                  "--verify", "--seed", "2"],
+        "percolation": ["percolation", "--rate", "0.3", "--rows", "6", "--cols", "6",
+                        "--n-seeds", "3"]}
+    for name, argv in every_subcommand.items():
+        out = files["tmp"] / f"{name}.report.json"
+        assert main(argv + ["--json-out", str(out)]) == 0, name
+        stdout = capsys.readouterr().out
+        assert stdout.count("\n") == 1 and stdout.endswith("}\n"), name
+        rep = json.loads(stdout)
+        assert list(rep)[-1] == "wall_time_ms", name
+        assert json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n" == stdout, name
+        del rep["wall_time_ms"]
+        assert out.read_text() == json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("backend", ["sv", "stab"])
+def test_branches_report_decodes_to_the_enumerated_branches(backend, files, capsys):
+    pat = _measured_pattern(files, capsys)
+    pattern = MeasurementPattern.from_json(pat.read_text())
+    want = enumerate_branches(pattern, backend={"sv": "statevector", "stab": "stabilizer"}[backend])
+    code, rep = run_cli(["branches", "--pattern", str(pat), "--backend", backend], capsys)
+    assert code == 0
+    assert rep["result"]["n_branches"] == len(want) > 1
+    assert rep["result"]["probability_sum"] == sum(b.probability for b in want)
+    assert rep["result"]["branches"] == [
+        {"outcomes": {str(k): v for k, v in b.outcomes.items()},
+         "probability": b.probability, "log2_probability": b.log2_probability,
+         "frame": b.frame.to_json_dict()} for b in want]
 
 
 def test_slice_verify_and_determinism(files, capsys):
@@ -595,6 +636,30 @@ def test_memory_is_checked_in_one_place_before_allocating(files, capsys, monkeyp
     assert main(["graph-state", "--lattice", str(lattice)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("capacity exceeded: a 1000-qubit tableau needs")
+
+
+def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
+                                                                  monkeypatch):
+    """A stabilizer level holds up to 2^k tableaux for k commands: with
+    physical memory patched one byte short of 2^8 9-qubit tableaux, a 9-site
+    chain exits 3 with one line and builds no tableau; at exactly that
+    much it runs."""
+    from mbqc import errors
+    from mbqc.tableau import Tableau
+    built = []
+    init = Tableau.__init__
+    monkeypatch.setattr(Tableau, "__init__", lambda t, n: built.append(n) or init(t, n))
+    path = _chain_pattern(files["tmp"] / "chain9.json", 9)
+    need = (1 << 8) * 32 * 9
+    monkeypatch.setattr(errors, "physical_memory", lambda: need - 1)
+    assert main(["branches", "--pattern", path, "--backend", "stab"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"capacity exceeded: a level of 256 9-qubit tableaux needs {need} bytes")
+    assert built == []
+    monkeypatch.setattr(errors, "physical_memory", lambda: need)
+    code, rep = run_cli(["branches", "--pattern", path, "--backend", "stab"], capsys)
+    assert code == 0 and rep["result"]["n_branches"] == 256 and built
 
 
 def test_percolation_imports_no_tableau_layer():

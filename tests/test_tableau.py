@@ -5,7 +5,7 @@ import pytest
 
 from conftest import mul_rows_full_width, random_graph
 from mbqc.engine import MeasurementCommand, MeasurementPattern, run_pattern
-from mbqc.errors import ContradictionError, ValidationError
+from mbqc.errors import ContradictionError, ValidationError, VerificationError
 from mbqc.graphs import Graph
 from mbqc.pauli import PauliString, anticommuting, pack_bits, unpack_bits
 from mbqc.rng import PROB_TOL, OutcomeSource, make_rng
@@ -169,8 +169,7 @@ def test_tableau_statevector_cap():
 
 
 def test_invariants_hold_after_random_operations(rng, monkeypatch):
-    import mbqc.tableau as tableau_mod
-    monkeypatch.setattr(tableau_mod, "DEBUG_CHECKS", True)
+    monkeypatch.setenv("MBQC_CHECK_INVARIANTS", "1")
     g = random_graph(6, rng)
     t = graph_state_tableau(g)
     src = OutcomeSource(rng=rng)
@@ -186,6 +185,25 @@ def test_invariants_hold_after_random_operations(rng, monkeypatch):
             t.measure_pauli(str(rng.choice(["X", "Y", "Z"])),
                             int(rng.integers(0, 6)), src)
     t.check_invariants()
+
+
+@pytest.mark.parametrize("value,checked", [(None, False), ("", False), ("0", False),
+                                           ("1", True), ("yes", True)])
+def test_invariant_checks_follow_the_environment(value, checked, monkeypatch):
+    # a destabilizer sign breaks an invariant; only a checking run notices it
+    if value is None:
+        monkeypatch.delenv("MBQC_CHECK_INVARIANTS", raising=False)
+    else:
+        monkeypatch.setenv("MBQC_CHECK_INVARIANTS", value)
+    for operation in (lambda t: t.apply_clifford("H", [0]),
+                      lambda t: t.measure_pauli("X", 0, forced=0)):
+        t = graph_state_tableau(Graph(2, [(0, 1)]))
+        t.signs[0] = 1
+        if checked:
+            with pytest.raises(VerificationError, match="destabilizer row 0 has a sign"):
+                operation(t)
+        else:
+            operation(t)
 
 
 def test_deterministic_before_rng_draw(rng):
