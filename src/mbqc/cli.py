@@ -88,19 +88,14 @@ def _check_forced_measured(forced: dict[int, int], measured) -> None:
         raise ValidationError(f"--force-outcomes names sites that are never measured: {unmeasured}")
 
 
-def _report(args, result: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION,
-            "command": args._argv,
-            "seed": getattr(args, "seed", None),
-            "backend": getattr(args, "backend", None),
-            "result": result}
-
-
 def _emit(args, result: dict, wall_ms: float) -> None:
     """Serialise once, as one compact line with sorted keys (no indent, so
     ``json`` takes its C encoder); ``--json-out`` gets that line, and stdout
     the same with ``wall_time_ms``, which sorts last, put before the ``}``."""
-    text = json.dumps(_report(args, result), sort_keys=True, separators=(",", ":"))
+    report = {"schema_version": SCHEMA_VERSION, "command": args._argv,
+              "seed": getattr(args, "seed", None), "backend": getattr(args, "backend", None),
+              "result": result}
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     if args.json_out:
         _atomic_write(args.json_out, text + "\n")
     print(f'{text[:-1]},"wall_time_ms":{json.dumps(round(wall_ms, 3))}}}')
@@ -163,21 +158,15 @@ def _cmd_run_pattern(args) -> dict:
 def _cmd_branches(args) -> dict:
     from .engine import MeasurementPattern, enumerate_branches
     pattern = MeasurementPattern.from_json_dict(_load_json(args.pattern))
-    branches = enumerate_branches(pattern, backend=_backend_name(args.backend),
-                                  branch_cap=args.branch_cap, cap=_resolve_cap(args))
-    psum = sum(b.probability for b in branches)
-    # every branch holds its outcomes in command order and its frame in output
-    # order, so one key list each serves all rows (the encoder sorts keys)
-    sites = [str(c.site) for c in pattern.commands]
-    outs = [str(o) for o in pattern.output_sites]
-    return {"n_branches": len(branches),
-            "probability_sum": psum,
-            "branches": [{"outcomes": dict(zip(sites, b.outcomes.values())),
-                          "probability": b.probability,
-                          "log2_probability": b.log2_probability,
-                          "frame": {"x": dict(zip(outs, b.frame.x.values())),
-                                    "z": dict(zip(outs, b.frame.z.values()))}}
-                         for b in branches]}
+    table = enumerate_branches(pattern, backend=_backend_name(args.backend),
+                               branch_cap=args.branch_cap, cap=_resolve_cap(args), _table=True)
+    sites = [str(c.site) for c in pattern.commands]     # one key list serves every row
+    frames = [f.to_json_dict() for f in table.frames]     # shared by the branches of a frame
+    rows = zip(table, table.probability, table.log2_probability, table.frame_index)
+    return {"n_branches": len(table), "probability_sum": sum(table.probability),
+            "branches": [{"outcomes": dict(zip(sites, o)), "probability": prob,
+                          "log2_probability": log2_prob, "frame": frames[f]}
+                         for o, prob, log2_prob, f in rows]}
 
 
 def _cmd_compile(args) -> dict:

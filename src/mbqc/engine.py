@@ -14,17 +14,18 @@ One level-synchronous walker executes patterns on both backends:
 ``run_pattern`` follows the branch an ``OutcomeSource`` picks, and
 ``enumerate_branches`` every outcome of probability at least ``PROB_TOL``.
 Every live branch takes one command at a time, so branches come out in
-lexicographic command order, outcome 0 first.  A backend supplies a step
-(one command on every branch of a level: what each follows, by
-``_follow``, and the children's level) and an output extraction; all
-frames come from one GF(2) product.  A statevector level is one
-``branches x 2^live`` array, since branches at one depth hold the same
-live qubits: one projection per command serves them all, and as measured
-qubits are projected out a level holds at most 2^n amplitudes
-(``SV_TRANSIENT`` bounds the walk's peak).  The stabilizer step loops
-over the level's tableaux: an in-place ``Tableau.measure_pauli`` takes
-the first followed outcome, and in an enumeration a copy made before it
-takes the second.
+lexicographic command order, outcome 0 first.  The walk carries arrays: a
+branches x commands uint8 outcome matrix, gathered by parent index with one
+column per command, and the probabilities; frames come from one GF(2)
+product, and records are built at the API boundary.  A backend supplies a
+step (one command on every branch of a level: each followed outcome's
+parent, outcome and probability, and the children's level) and an output
+extraction.  A statevector level is one ``branches x 2^live`` array, since
+branches at one depth hold the same live qubits: one projection per command
+serves them all, and a level holds at most 2^n amplitudes (``SV_TRANSIENT``
+bounds the walk's peak).  The stabilizer step loops over the level's
+tableaux: an in-place ``Tableau.measure_pauli`` takes the first followed
+outcome, and in an enumeration a copy made before it takes the second.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -227,12 +228,6 @@ def _require_valid(p: MeasurementPattern) -> None:
         raise ValidationError("invalid pattern: " + "; ".join(issues))
 
 
-def _stabilizer_eligible(p: MeasurementPattern) -> bool:
-    """True when every possible effective angle is a multiple of pi/2."""
-    return all(c.plane == "Z" or abs(c.angle / HALF_PI - round(c.angle / HALF_PI)) <= 1e-12
-               for c in p.commands)
-
-
 def _prepare_statevector(p: MeasurementPattern,
                          input_state: Optional[StateVector], cap: int) -> StateVector:
     n = p.resource.n_vertices
@@ -270,112 +265,130 @@ def run_pattern(p: MeasurementPattern, input_state: Optional[StateVector] = None
     """Execute one branch of the pattern; see module docstring for semantics."""
     _require_valid(p)
     src = as_outcome_source(randomness, forced=forced)
-    return _walk(p, input_state, backend, cap, src)[0]
+    return _records(p, *_walk(p, input_state, backend, cap, src))[0]
 
 
 def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector] = None,
                        backend: str = "statevector", branch_cap: int = 1 << 16,
-                       cap: int = DEFAULT_CAP) -> list[BranchRecord]:
+                       cap: int = DEFAULT_CAP, *, _table: bool = False) -> list[BranchRecord]:
     """Exhaustively force every realizable outcome combination.
 
     Zero-probability combinations are pruned (they are not branches of the
-    computation); the returned probabilities sum to 1 within 1e-9.  On the
-    stabilizer backend a level holds up to 2^k whole tableaux for k
-    commands, so their packed rows are checked against physical memory
-    before any is built.
-    """
+    computation); the returned probabilities sum to 1 within 1e-9.  The walk
+    carries arrays, 2^k x (k + 16) bytes at most for k commands, and on the
+    stabilizer backend up to 2^k tableaux: both are checked against physical
+    memory first.  ``_table=True`` returns the walk's ``BranchTable``, with
+    no records and no output state."""
     _require_valid(p)
     k = len(p.commands)
     if branch_cap < 0:
         raise ValidationError(f"branch cap must be a non-negative count, got {branch_cap}")
     if 2 ** k > branch_cap:
         raise CapacityError(f"2^{k} branches exceed cap {branch_cap}")
+    check_memory(2 ** k * (k + 16), f"an outcome table of 2^{k} branches")
     if backend == "stabilizer":
         check_capacity(p.resource.n_vertices, copies=2 ** k)
-    return _walk(p, input_state, backend, cap, None)
+    table, leaves = _walk(p, input_state, backend, cap, None)
+    return table if _table else _records(p, table, leaves)
+
+
+class BranchTable(list):
+    """A walk's branches: each item is one branch's outcomes in command order,
+    with ``probability`` and ``log2_probability`` lists in the same order and
+    ``frame_index`` into ``frames``, one ``PauliFrame`` per distinct frame."""
+
+    def __init__(self, rows, *columns):
+        super().__init__(rows)
+        self.probability, self.log2_probability, self.frames, self.frame_index = columns
+
+
+def _records(p: MeasurementPattern, table: BranchTable, leaves: Callable) -> list[BranchRecord]:
+    """One ``BranchRecord`` per branch of ``table``, with ``leaves()``' output states."""
+    sites, frames = [c.site for c in p.commands], table.frames
+    return [BranchRecord(dict(zip(sites, o)), frames[f], state, prob, p.output_sites, log2_prob)
+            for o, f, state, prob, log2_prob in zip(table, table.frame_index, leaves(),
+                                                    table.probability, table.log2_probability)]
 
 
 def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
-          cap: int, src: Optional[OutcomeSource]) -> list[BranchRecord]:
-    """Level-synchronous walk: every live branch takes each command together,
-    its children in outcome order, the last taking over its outcome dict
-    (sites in command order).  With a source, follow the outcome its
-    ``choose`` picks; without one, every outcome of probability >= PROB_TOL."""
+          cap: int, src: Optional[OutcomeSource]) -> tuple[BranchTable, Callable]:
+    """Level-synchronous walk: each live branch takes each command together, its
+    children in outcome order: the one a source's ``choose`` picks, or without
+    one each of probability >= PROB_TOL.  One live branch keeps Python scalars
+    (numpy calls cost more).  Returns the table and a leaf-output callable."""
     level, step, output = _backend(p, input_state, backend, cap)
-    branches = [({}, 1.0, 0.0)]        # (outcomes, probability, log2 probability)
-    for c in p.commands:        # a Z command ignores its angle
-        followed, level = step(level, c, [c.effective_angle(b[0]) for b in branches], src)
-        children = []
-        for (o, prob, log2_prob), chosen in zip(branches, followed):
-            last = chosen[-1][0]
-            for m, pm in chosen:
-                branch = o if m == last else dict(o)
-                branch[c.site] = m
-                children.append((branch, prob * pm, log2_prob + math.log2(pm)))
-        branches = children
-    return [BranchRecord(o, frame, state, prob, p.output_sites, log2_prob)
-            for (o, prob, log2_prob), frame, state
-            in zip(branches, _frames(p, [b[0] for b in branches]), output(level))]
+    col = {c.site: j for j, c in enumerate(p.commands)}
+    bits, prob, log2_prob, one = np.zeros((1, len(col)), dtype=np.uint8), 1.0, 0.0, {}
+    for j, c in enumerate(p.commands):        # a Z command ignores its angle
+        if len(bits) == 1:
+            thetas = [c.effective_angle(one)]
+        else:                                 # the same float operations, per row
+            s, t = (bits[:, [col[d] for d in ds]].sum(axis=1) & 1 for ds in (c.s_deps, c.t_deps))
+            thetas = (np.where(s, -c.angle, c.angle) + np.where(t, math.pi, 0.0)).tolist()
+        parent, outcome, pm, level = step(level, c, thetas, src)
+        if len(outcome) == 1:                 # still one branch
+            one[c.site] = bits[0, j] = outcome[0]
+            prob, log2_prob = prob * pm[0], log2_prob + math.log2(pm[0])
+            continue
+        bits, pm = bits[parent], np.asarray(pm)
+        bits[:, j] = outcome
+        prob = np.take(prob, parent) * pm
+        log2_prob = np.take(log2_prob, parent) + list(map(math.log2, pm.tolist()))
+    return BranchTable(bits.tolist(), np.reshape(prob, -1).tolist(), np.reshape(
+        log2_prob, -1).tolist(), *_frames(p, bits)), lambda: output(level)
 
 
-def _frames(p: MeasurementPattern, outcomes: Sequence[dict]) -> list[PauliFrame]:
-    """Every branch's frame from one GF(2) product: the outcome matrix (a row per
-    branch, in command order) times the correction table (a row per command:
-    the X then Z exponents its outcome toggles).  Equal frames share one object."""
+def _frames(p: MeasurementPattern, bits: np.ndarray) -> tuple[list, list]:
+    """One ``PauliFrame`` per distinct frame and each branch's index into them,
+    from one GF(2) product: the outcome matrix times the correction table (a
+    row per command: the X then Z exponents its outcome toggles)."""
     outs, n = p.output_sites, len(p.output_sites)
     row, col = {c.site: k for k, c in enumerate(p.commands)}, {o: j for j, o in enumerate(outs)}
     table = np.zeros((len(p.commands), 2 * n), dtype=np.int64)
     for site, rule in p.corrections.items():
         for j in [col[o] for o in rule["x_on"]] + [n + col[o] for o in rule["z_on"]]:
             table[row[site], j] ^= 1
-    bits = np.array([list(o.values()) for o in outcomes], dtype=np.int64)
-    xz = ((bits.reshape(len(outcomes), len(p.commands)) @ table) & 1).tolist()
-    made: dict[tuple, PauliFrame] = {}
-    return [made.get(f) or made.setdefault(f, PauliFrame(dict(zip(outs, f[:n])),
-                                                         dict(zip(outs, f[n:]))))
-            for f in map(tuple, xz)]
-
-
-def _follow(src: Optional[OutcomeSource], site: int, p0: float) -> list[tuple[int, float]]:
-    """The outcomes the walker follows at ``site``, with their probabilities,
-    when outcome 0 has probability p0: the one ``src`` picks, or with no
-    source every outcome of probability >= PROB_TOL."""
-    if src is None:
-        return [(m, pm) for m, pm in ((0, p0), (1, 1.0 - p0)) if pm >= PROB_TOL]
-    m = src.choose(site, p0)
-    return [(m, p0 if m == 0 else 1.0 - p0)]
+    made: dict[tuple, int] = {}
+    index = [made.setdefault(f, len(made)) for f in map(tuple, ((bits @ table) & 1).tolist())]
+    return [PauliFrame(dict(zip(outs, f[:n])), dict(zip(outs, f[n:]))) for f in made], index
 
 
 class _FlippedSource(OutcomeSource):
-    """The walker's source as seen by a tableau that measures a Pauli whose
-    outcome is the command's XOR ``flip``: each choice is ``_follow``'s in
-    the command's terms, so draws, forced outcomes and contradictions are
-    the command's; ``followed`` keeps what ``_follow`` returned, and the
-    tableau takes its first outcome."""
+    """The walker's source, asked in the command's terms by a tableau measuring
+    a Pauli whose outcome is the command's XOR ``flip``.  ``followed``: the
+    (outcome, probability) pairs to follow, the tableau's first; without a
+    source each of probability >= PROB_TOL, as the statevector step's mask."""
 
     def __init__(self, src: Optional[OutcomeSource], flip: int):
         self.src, self.flip = src, flip
 
     def choose(self, key: int, p0: float) -> int:
-        self.followed = _follow(self.src, key, 1.0 - p0 if self.flip else p0)
+        p0 = 1.0 - p0 if self.flip else p0
+        both = ((0, p0), (1, 1.0 - p0))
+        self.followed = ([both[self.src.choose(key, p0)]] if self.src else
+                         [(m, pm) for m, pm in both if pm >= PROB_TOL])
         return self.followed[0][0] ^ self.flip
 
 
 def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
              cap: int):
     """(root level, step, output) for one backend.  ``step(level, command,
-    thetas, src)`` returns what each branch follows (``_follow``) and the
-    children's level in order; ``output(level)`` each leaf's output state."""
+    thetas, src)`` returns, per followed (branch, outcome) in order, the
+    branch's index in ``level``, the outcome and its probability, and then the
+    children's level; ``output(level)`` gives each leaf's output state."""
     if backend == "statevector":
         def sv_step(level, c, thetas, src):
             amps, live = level            # one row per branch; live: site held by each qubit
             pos = live.index(c.site)
-            followed = [_follow(src, c.site, p0)
-                        for p0 in _probability0(amps, pos, c.plane, thetas).tolist()]
-            rows, ms = zip(*[(i, m) for i, chosen in enumerate(followed) for m, _ in chosen])
-            post, pm = _project(amps, pos, c.plane, thetas, rows, ms)
-            post /= np.sqrt(pm)[:, None]
-            return followed, (post, live[:pos] + live[pos + 1:])
+            p0 = _probability0(amps, pos, c.plane, thetas)
+            pm = np.stack([p0, 1.0 - p0], axis=1)       # branch x outcome
+            if src is None:
+                parent, outcome = np.nonzero(pm >= PROB_TOL)
+            else:
+                parent, outcome = np.arange(len(p0)), [src.choose(c.site, x) for x in p0.tolist()]
+            post, norm = _project(amps, pos, c.plane, thetas, parent, outcome)
+            post /= np.sqrt(norm)[:, None]
+            return parent, outcome, pm[parent, outcome], (post, live[:pos] + live[pos + 1:])
 
         def sv_output(level):
             amps, live = level            # live: the output sites, ascending
@@ -388,23 +401,26 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
     if backend == "stabilizer":
         if input_state is not None:
             raise CapacityError("stabilizer backend does not take injected inputs")
-        if not _stabilizer_eligible(p):
-            raise CapacityError(
-                "stabilizer backend requires all angles to be multiples of pi/2")
+        if any(c.plane == "XY" and abs(c.angle / HALF_PI - round(c.angle / HALF_PI)) > 1e-12
+               for c in p.commands):        # then every effective angle is one too
+            raise CapacityError("stabilizer backend requires all angles to be multiples of pi/2")
 
         def stab_step(level, c, thetas, src):
-            followed, children = [], []
-            for t, theta in zip(level, thetas):
+            parent, outcome, pm, children = [], [], [], []
+            for i, (t, theta) in enumerate(zip(level, thetas)):
                 basis, flip = ("Z", 0) if c.plane == "Z" else _angle_to_pauli(theta)
                 sibling = t.copy() if src is None else None
                 flipped = _FlippedSource(src, flip)
                 raw = t.measure_pauli(basis, c.site, flipped)
-                followed.append(flipped.followed)
                 children.append(t)
                 if len(flipped.followed) > 1:       # the copy takes the second outcome
                     sibling.measure_pauli(basis, c.site, forced=raw ^ 1)
                     children.append(sibling)
-            return followed, children
+                for m, p_m in flipped.followed:
+                    parent.append(i)
+                    outcome.append(m)
+                    pm.append(p_m)
+            return parent, outcome, pm, children
 
         # pop each leaf, so its tableau is freed once its output is extracted
         return ([graph_state_tableau(p.resource)], stab_step, lambda level: [
@@ -418,10 +434,6 @@ class DeterminismReport:
     n_branches: int
     min_fidelity: float
     failures: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "n_branches": self.n_branches,
-                "min_fidelity": self.min_fidelity, "failures": self.failures}
 
 
 def apply_frame(state: Union[StateVector, Tableau], frame: PauliFrame,

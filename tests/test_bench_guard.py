@@ -160,6 +160,40 @@ def test_statevector_walk_projects_once_per_command(rng, monkeypatch):
         assert calls["project"] <= len(commands)
 
 
+def test_branches_report_builds_no_per_branch_objects(rng, monkeypatch, tmp_path, capsys):
+    """``branches`` reads the walk's arrays: on a 14-command statevector
+    pattern (16,384 branches) it builds no ``BranchRecord`` and no output
+    ``StateVector`` per branch (only the prepared resource state), and one
+    ``PauliFrame`` per distinct frame, at most 2^4 for two output sites."""
+    from mbqc import cli
+    from mbqc.statevector import StateVector
+    made = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (StateVector, engine.BranchRecord, engine.PauliFrame):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    n = 16
+    commands = [MeasurementCommand(s, "XY", float(rng.uniform(-np.pi, np.pi)))
+                for s in rng.permutation(n - 2).tolist()]
+    corrections = {c.site: {"x_on": [n - 2], "z_on": [n - 1]} for c in commands[::3]}
+    p = MeasurementPattern(random_graph(n, rng, p=0.3), [], [n - 2, n - 1], commands,
+                           corrections)
+    path = tmp_path / "p.json"
+    path.write_text(p.to_json())
+    assert cli.main(["branches", "--pattern", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["n_branches"] == 2 ** 14
+    assert made["BranchRecord"] == 0
+    assert made["StateVector"] <= 1
+    assert 0 < made["PauliFrame"] <= 16
+
+
 def test_measurement_keeps_destabilizers_sparse(monkeypatch):
     """A random outcome factors the qubit out, so the destabilizer rows that
     measurement hands ``_mul_rows`` stay few.  On this 400-site wire the

@@ -662,6 +662,29 @@ def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
     assert code == 0 and rep["result"]["n_branches"] == 256 and built
 
 
+def test_branch_outcome_table_is_checked_before_the_walk(files, capsys, monkeypatch):
+    """An enumeration's outcome table, 2^k x (k + 16) bytes for k commands,
+    is checked against physical memory before any state is prepared: one
+    byte short, a 14-command chain exits 3 with one line; at exactly that
+    much the table passes and the amplitude check refuses next.  No
+    projection runs in either case."""
+    from mbqc import engine, errors
+
+    def no_projection(*args):
+        raise AssertionError("_project called")
+
+    monkeypatch.setattr(engine, "_project", no_projection)
+    path = _chain_pattern(files["tmp"] / "chain15.json", 15)
+    need = (1 << 14) * (14 + 16)
+    for budget, message in ((need - 1, f"an outcome table of 2^14 branches needs {need} bytes"),
+                            (need, "a 15-qubit statevector walk needs")):
+        monkeypatch.setattr(errors, "physical_memory", lambda: budget)
+        assert main(["branches", "--pattern", path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"capacity exceeded: {message}"), err
+
+
 def test_percolation_imports_no_tableau_layer():
     """The CLI loads each layer inside the subcommands that use it."""
     probe = ("import sys; from mbqc.cli import main; "

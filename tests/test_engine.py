@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_state
+from mbqc.cli import main
 from mbqc.engine import (BranchRecord, MeasurementCommand, MeasurementPattern,
                          PauliFrame, apply_frame, check_determinism,
                          enumerate_branches, run_pattern, validate_pattern)
@@ -296,8 +298,9 @@ def test_enumeration_is_lexicographic_with_table_frames(backend, rng):
     assert n_branches > 3 * 2
 
 
-@pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
-def test_every_branch_replays_under_forced_run(backend, rng):
+def replay_patterns(backend, rng):
+    """Three random adaptive Clifford patterns, and on the statevector
+    backend one at random angles with s and t dependencies."""
     patterns = [random_clifford_pattern(8, 2, rng) for _ in range(3)]
     if backend == "statevector":
         angles = rng.uniform(-np.pi, np.pi, size=3)
@@ -307,6 +310,12 @@ def test_every_branch_replays_under_forced_run(backend, rng):
              MeasurementCommand(1, "XY", float(angles[1]), s_deps=frozenset([0])),
              MeasurementCommand(2, "XY", float(angles[2]), t_deps=frozenset([0]))],
             corrections={1: {"x_on": [3], "z_on": [4]}}))
+    return patterns
+
+
+@pytest.mark.parametrize("backend", ["statevector", "stabilizer"])
+def test_every_branch_replays_under_forced_run(backend, rng):
+    patterns = replay_patterns(backend, rng)
     pruned = False
     for p in patterns:
         branches = enumerate_branches(p, backend=backend)
@@ -321,6 +330,41 @@ def test_every_branch_replays_under_forced_run(backend, rng):
             else:
                 assert np.allclose(rec.output_state.amps, b.output_state.amps,
                                    rtol=0, atol=1e-12)
+    assert pruned      # deterministic outcomes were met and pruned
+
+
+@pytest.mark.parametrize("backend", ["sv", "stab"])
+def test_every_branches_row_replays_under_forced_run_pattern(backend, rng, tmp_path, capsys):
+    """Each row of the ``branches`` report, replayed by ``run-pattern
+    --force-outcomes`` (which follows one branch and builds its record),
+    gives the same outcomes and frame, and its probability and log2
+    probability within 1e-12 relative."""
+    def report(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    patterns = replay_patterns({"sv": "statevector", "stab": "stabilizer"}[backend], rng)
+    if backend == "sv":         # once site 1 is measured, site 0 is in a pure state of its
+        a, b = rng.uniform(-np.pi, np.pi, size=2)       # own: its probabilities follow s and t
+        patterns.append(MeasurementPattern(
+            Graph(3, [(0, 1)]), [], [2],
+            [MeasurementCommand(1, "XY", float(a)),
+             MeasurementCommand(0, "XY", float(b), s_deps=frozenset([1]), t_deps=frozenset([1]))],
+            corrections={1: {"x_on": [2]}, 0: {"z_on": [2]}}))
+    pruned = False
+    for i, p in enumerate(patterns):
+        path = tmp_path / f"p{i}.json"
+        path.write_text(p.to_json())
+        rows = report(["branches", "--pattern", str(path), "--backend", backend])["branches"]
+        pruned |= len(rows) < 2 ** len(p.commands)
+        for row in rows:
+            forced = ",".join(f"{site}={bit}" for site, bit in row["outcomes"].items())
+            rec = report(["run-pattern", "--pattern", str(path), "--backend", backend,
+                          "--force-outcomes", forced])
+            assert rec["outcomes"] == row["outcomes"]
+            assert rec["frame"] == row["frame"]
+            for key in ("probability", "log2_probability"):
+                assert math.isclose(rec[key], row[key], rel_tol=1e-12), key
     assert pruned      # deterministic outcomes were met and pruned
 
 

@@ -211,7 +211,8 @@ def _projector_reference(sv, q, plane, theta, m):
 def test_fused_step_matches_measure_then_compact(n, rng):
     # the engine's statevector level step, on a level of two branches with
     # their own angles, against compact(measure_angle(...)) and against a
-    # dense projector, for every qubit, plane and outcome
+    # dense projector, for every qubit, plane and outcome; the step returns
+    # one (parent, outcome, p_m) per child row, branch by branch, outcome 0 first
     pattern = MeasurementPattern(Graph(n, []), [], [], [])
     _, step, _ = _backend(pattern, None, "statevector", n)
     for q in range(n):
@@ -220,15 +221,18 @@ def test_fused_step_matches_measure_then_compact(n, rng):
             thetas = [float(rng.uniform(-np.pi, np.pi)) if plane == "XY" else 0.0
                       for _ in svs]
             level = (np.stack([sv.amps for sv in svs]), list(range(n)))
-            followed, (posts, live) = step(level, MeasurementCommand(q, plane), thetas, None)
-            rows = iter(posts)
-            children = [{m: StateVector(n - 1, next(rows)) for m, _ in chosen}
-                        for chosen in followed]
-            assert next(rows, None) is None
-            for sv, theta, chosen, kids in zip(svs, thetas, followed, children):
+            parent, outcome, p_m, (posts, live) = step(level, MeasurementCommand(q, plane),
+                                                        thetas, None)
+            assert [(int(i), int(m)) for i, m in zip(parent, outcome)] == [
+                (0, 0), (0, 1), (1, 0), (1, 1)]          # random states: both outcomes followed
+            assert len(p_m) == len(posts) == len(parent)
+            probs, children = [{}, {}], [{}, {}]
+            for i, m, pm, row in zip(parent, outcome, p_m, posts):
+                probs[i][int(m)], children[i][int(m)] = float(pm), StateVector(n - 1, row)
+            for sv, theta, chosen, kids in zip(svs, thetas, probs, children):
                 for m in (0, 1):
                     p_ref, post_ref = _projector_reference(sv, q, plane, theta, m)
-                    assert abs(dict(chosen).get(m, 0.0) - p_ref) < 1e-12
+                    assert abs(chosen.get(m, 0.0) - p_ref) < 1e-12
                     assert abs(measure_probability(sv, q, plane, theta, m) - p_ref) < 1e-12
                     _, measured = measure_angle(sv, q, plane, theta, forced=m)
                     inline = compact(measured, q)
