@@ -19,7 +19,7 @@ _EXPORTS = {
     "pauli": ("PauliString",),
     "statevector": ("ProductState", "StateVector", "fidelity_up_to_phase",
                     "graph_state_vector", "measure_angle", "overlap"),
-    "tableau": ("Tableau", "graph_state_tableau", "measure_pauli", "tableau_to_statevector"),
+    "tableau": ("Tableau", "graph_state_tableau", "tableau_to_statevector"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

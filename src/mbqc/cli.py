@@ -98,7 +98,12 @@ def _emit(args, result: dict, wall_ms: float) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     if args.json_out:
         _atomic_write(args.json_out, text + "\n")
-    print(f'{text[:-1]},"wall_time_ms":{json.dumps(round(wall_ms, 3))}}}')
+    try:
+        print(f'{text[:-1]},"wall_time_ms":{json.dumps(round(wall_ms, 3))}}}', flush=True)
+    except OSError as exc:      # a closed pipe, say: devnull takes what the exit flush writes
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ValidationError(f"cannot write stdout: {exc}") from exc
 
 
 def _resolve_cap(args) -> int:

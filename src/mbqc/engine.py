@@ -23,12 +23,16 @@ parent, outcome and probability, and the children's level) and an output
 extraction.  A statevector level is one ``branches x 2^live`` array, since
 branches at one depth hold the same live qubits: one projection per command
 serves them all, and a level holds at most 2^n amplitudes (``SV_TRANSIENT``
-bounds the walk's peak).  The stabilizer step loops over the level's
-tableaux: an in-place ``Tableau.measure_pauli`` takes the first followed
-outcome, and in an enumeration a copy made before it takes the second.
+bounds the walk's peak).  The stabilizer step measures one tableau.  At
+multiples of pi/2 no basis depends on an earlier outcome, so the x/z bits
+and the random commands are the same on every branch, and outcomes and
+output signs are GF(2)-affine in the k random outcomes: its enumeration is a
+reference run (0 at each random command) and one run per random command
+forced to 1 there, spanned (Gidney's reference frames, arXiv 2103.02202).
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -43,8 +47,7 @@ from .graphs import Graph
 from .rng import PROB_TOL, OutcomeSource, as_outcome_source
 from .statevector import (DEFAULT_CAP, StateVector, _probability0, _project, apply_cz,
                           apply_pauli, fidelity_up_to_phase, permute_qubits, tensor)
-from .tableau import (Tableau, check_capacity, extract_subtableau, graph_state_tableau,
-                     tableau_to_statevector)
+from .tableau import Tableau, extract_subtableau, graph_state_tableau, tableau_to_statevector
 
 HALF_PI = math.pi / 2.0
 SV_TRANSIENT = 3     # peak 2^n-amplitude arrays of a walk: a level, its children, a gather
@@ -249,12 +252,11 @@ def _prepare_statevector(p: MeasurementPattern,
     return state
 
 
-def _angle_to_pauli(theta: float) -> tuple[str, int]:
-    """Effective XY angle (multiple of pi/2) -> (Pauli basis, outcome flip)."""
-    k = round(theta / HALF_PI) % 4
-    if abs(theta / HALF_PI - round(theta / HALF_PI)) > 1e-12:
-        raise ValidationError(f"angle {theta} is not a multiple of pi/2")
-    return [("X", 0), ("Y", 0), ("X", 1), ("Y", 1)][k]
+def _is_quarter_turns(theta: float) -> bool:
+    """Whether theta is k pi/2 for a whole |k| < 2^31: k times the float pi/2's
+    error stays below 1.3e-7 rad, and past 2^52 every quotient is whole."""
+    k = theta / HALF_PI
+    return abs(k) < 2 ** 31 and abs(k - round(k)) <= 1e-12
 
 
 def run_pattern(p: MeasurementPattern, input_state: Optional[StateVector] = None,
@@ -275,9 +277,11 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
 
     Zero-probability combinations are pruned (they are not branches of the
     computation); the returned probabilities sum to 1 within 1e-9.  The walk
-    carries arrays, 2^k x (k + 16) bytes at most for k commands, and on the
-    stabilizer backend up to 2^k tableaux: both are checked against physical
-    memory first.  ``_table=True`` returns the walk's ``BranchTable``, with
+    carries arrays, 2^k x (k + 16) bytes at most for k commands, checked
+    against physical memory first.  The stabilizer backend runs the pattern
+    once plus once per random command (module docstring), one tableau at a
+    time; its output tableaux share one set of x/z rows, so copy one before
+    changing it.  ``_table=True`` returns the walk's ``BranchTable``, with
     no records and no output state."""
     _require_valid(p)
     k = len(p.commands)
@@ -286,10 +290,36 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
     if 2 ** k > branch_cap:
         raise CapacityError(f"2^{k} branches exceed cap {branch_cap}")
     check_memory(2 ** k * (k + 16), f"an outcome table of 2^{k} branches")
-    if backend == "stabilizer":
-        check_capacity(p.resource.n_vertices, copies=2 ** k)
-    table, leaves = _walk(p, input_state, backend, cap, None)
-    return table if _table else _records(p, table, leaves)
+    if backend != "stabilizer":
+        table, leaves = _walk(p, input_state, backend, cap, None)
+        return table if _table else _records(p, table, leaves)
+
+    def run(src):       # its table, and its output tableau only for records
+        table, leaves = _walk(p, input_state, backend, cap, src)
+        return table, None if _table else leaves()[0]
+
+    ref = _ReferenceSource()    # a run's outcomes and output signs, XOR ref's: a generator
+    runs = [run(ref)]
+    runs += [run(OutcomeSource(forced={**ref.forced, r: 1})) for r in ref.forced]
+    bits = _span([np.array(t[0], dtype=np.uint8) for t, _ in runs])
+    (first, out), n = runs[0], len(bits)      # every branch has probability 2^-k
+    table = BranchTable(bits.tolist(), first.probability * n, first.log2_probability * n,
+                        *_frames(p, bits))
+    if _table:
+        return table
+    leaves = [copy.copy(out) for _ in range(n)]         # sharing out's x/z rows
+    for t, signs in zip(leaves, _span([o.signs for _, o in runs])):
+        t.signs = signs
+    return _records(p, table, lambda: leaves)
+
+
+def _span(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``rows[0] ^ XOR_i b_i (rows[i] ^ rows[0])`` for every bit vector b, in
+    binary order with ``b_1`` the most significant: one row per branch."""
+    span = rows[0][None]
+    for row in rows[1:]:
+        span = np.stack([span, span ^ row ^ rows[0]], axis=1).reshape(2 * len(span), len(row))
+    return span
 
 
 class BranchTable(list):
@@ -355,19 +385,26 @@ def _frames(p: MeasurementPattern, bits: np.ndarray) -> tuple[list, list]:
 
 class _FlippedSource(OutcomeSource):
     """The walker's source, asked in the command's terms by a tableau measuring
-    a Pauli whose outcome is the command's XOR ``flip``.  ``followed``: the
-    (outcome, probability) pairs to follow, the tableau's first; without a
-    source each of probability >= PROB_TOL, as the statevector step's mask."""
+    a Pauli whose outcome is the command's XOR ``flip``; keeps the command's
+    outcome ``m`` and its probability ``pm``."""
 
-    def __init__(self, src: Optional[OutcomeSource], flip: int):
+    def __init__(self, src: OutcomeSource, flip: int):
         self.src, self.flip = src, flip
 
     def choose(self, key: int, p0: float) -> int:
         p0 = 1.0 - p0 if self.flip else p0
-        both = ((0, p0), (1, 1.0 - p0))
-        self.followed = ([both[self.src.choose(key, p0)]] if self.src else
-                         [(m, pm) for m, pm in both if pm >= PROB_TOL])
-        return self.followed[0][0] ^ self.flip
+        self.m = self.src.choose(key, p0)
+        self.pm = 1.0 - p0 if self.m else p0
+        return self.m ^ self.flip
+
+
+class _ReferenceSource(OutcomeSource):
+    """Answers 0 at every random measurement and adds it to ``forced``, whose
+    keys are then a stabilizer pattern's random commands, in order."""
+
+    def draw(self, key: int) -> int:
+        self.forced[key] = 0
+        return 0
 
 
 def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
@@ -401,30 +438,17 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
     if backend == "stabilizer":
         if input_state is not None:
             raise CapacityError("stabilizer backend does not take injected inputs")
-        if any(c.plane == "XY" and abs(c.angle / HALF_PI - round(c.angle / HALF_PI)) > 1e-12
-               for c in p.commands):        # then every effective angle is one too
+        if not all(c.plane == "Z" or _is_quarter_turns(c.angle) for c in p.commands):
             raise CapacityError("stabilizer backend requires all angles to be multiples of pi/2")
 
-        def stab_step(level, c, thetas, src):
-            parent, outcome, pm, children = [], [], [], []
-            for i, (t, theta) in enumerate(zip(level, thetas)):
-                basis, flip = ("Z", 0) if c.plane == "Z" else _angle_to_pauli(theta)
-                sibling = t.copy() if src is None else None
-                flipped = _FlippedSource(src, flip)
-                raw = t.measure_pauli(basis, c.site, flipped)
-                children.append(t)
-                if len(flipped.followed) > 1:       # the copy takes the second outcome
-                    sibling.measure_pauli(basis, c.site, forced=raw ^ 1)
-                    children.append(sibling)
-                for m, p_m in flipped.followed:
-                    parent.append(i)
-                    outcome.append(m)
-                    pm.append(p_m)
-            return parent, outcome, pm, children
+        def stab_step(t, c, thetas, src):   # one tableau; +/-angle + pi*t: whole turns too
+            k = 0 if c.plane == "Z" else round(thetas[0] / HALF_PI)    # k pi/2: X, Y, -X, -Y
+            flipped = _FlippedSource(src, k >> 1 & 1)
+            t.measure_pauli("Z" if c.plane == "Z" else "XY"[k % 2], c.site, flipped)
+            return [0], [flipped.m], [flipped.pm], t
 
-        # pop each leaf, so its tableau is freed once its output is extracted
-        return ([graph_state_tableau(p.resource)], stab_step, lambda level: [
-            extract_subtableau(level.pop(), p.output_sites) for _ in range(len(level))][::-1])
+        return (graph_state_tableau(p.resource), stab_step,
+                lambda t: [extract_subtableau(t, p.output_sites)])
     raise ValidationError(f"unknown backend {backend!r}")
 
 

@@ -58,11 +58,10 @@ def _invariant_checks_on() -> bool:
     return os.environ.get("MBQC_CHECK_INVARIANTS", "0") not in ("", "0")
 
 
-def check_capacity(n: int, copies: int = 1) -> None:
-    """Refuse ``copies`` tableaux of ``n`` qubits when their packed rows (2n
-    rows of x and z words, 4*n*w words each) exceed physical memory."""
-    what = f"a {n}-qubit tableau" if copies == 1 else f"a level of {copies} {n}-qubit tableaux"
-    check_memory(copies * 32 * n * n_words(n), what)
+def check_capacity(n: int) -> None:
+    """Refuse a tableau of ``n`` qubits when its packed rows (2n rows of x and
+    z words, 4*n*w words) exceed physical memory."""
+    check_memory(32 * n * n_words(n), f"a {n}-qubit tableau")
 
 
 class Tableau:
@@ -310,14 +309,6 @@ def graph_state_tableau(graph: Graph) -> Tableau:
     a, b = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
     flip_bits(t.zs, np.concatenate([n + a, n + b]), np.concatenate([b, a]))
     return t
-
-
-def measure_pauli(t: Tableau, basis: str, qubit: int,
-                  randomness: Union[int, OutcomeSource, None] = None,
-                  forced: Optional[int] = None) -> tuple[int, Tableau]:
-    """Functional wrapper around ``Tableau.measure_pauli``."""
-    out = t.copy()
-    return out.measure_pauli(basis, qubit, randomness, forced), out
 
 
 def tableau_to_statevector(t: Tableau, cap: int = 14):

@@ -101,10 +101,11 @@ def test_stabilizer_run_measures_once_per_command(rng, monkeypatch):
     assert calls["deterministic"] > 0
 
 
-def test_stabilizer_enumeration_measures_once_per_edge(rng, monkeypatch):
-    """Enumeration measures each followed outcome once: one ``measure_pauli``
-    per edge of the outcome tree, that is per distinct outcome prefix across
-    the returned branches, and ``outcome_is_random`` is not called."""
+def test_stabilizer_enumeration_is_k_plus_one_runs(rng, monkeypatch):
+    """Enumeration on the stabilizer backend is a reference run and one run per
+    random command, each measuring every command once: at most (k + 1) x
+    commands ``measure_pauli`` calls for 2^k branches, with no tableau copied
+    and ``outcome_is_random`` not called."""
     calls = {"measure": 0}
     measure = Tableau.measure_pauli
 
@@ -112,21 +113,37 @@ def test_stabilizer_enumeration_measures_once_per_edge(rng, monkeypatch):
         calls["measure"] += 1
         return measure(self, *args, **kwargs)
 
-    def no_query(self, *args, **kwargs):
-        raise AssertionError("outcome_is_random called in an enumeration")
+    def refuse(name):
+        def refused(self, *args, **kwargs):
+            raise AssertionError(f"{name} called in an enumeration")
+        return refused
 
     monkeypatch.setattr(Tableau, "measure_pauli", counting_measure)
-    monkeypatch.setattr(Tableau, "outcome_is_random", no_query)
+    monkeypatch.setattr(Tableau, "outcome_is_random", refuse("outcome_is_random"))
+    monkeypatch.setattr(Tableau, "copy", refuse("Tableau.copy"))
     pruned = False
     for _ in range(8):
         p = _clifford_pattern(10, rng)
         calls["measure"] = 0
         branches = enumerate_branches(p, backend="stabilizer")
-        edges = {tuple(b.outcomes[c.site] for c in p.commands[:k + 1])
-                 for b in branches for k in range(len(p.commands))}
-        assert calls["measure"] == len(edges)
-        pruned |= len(branches) < 2 ** len(p.commands)
+        k = len(branches).bit_length() - 1
+        assert len(branches) == 2 ** k
+        assert calls["measure"] <= (k + 1) * len(p.commands)
+        pruned |= k < len(p.commands)
     assert pruned      # deterministic outcomes were met
+
+
+def test_stabilizer_enumeration_of_the_2x9_wire(monkeypatch, tmp_path, capsys):
+    """The 2 x 9 cluster wire of ``perfbench/workloads.py`` (rng seed 1), whose
+    16 commands are all random, enumerates 65,536 branches through the CLI;
+    their probabilities, 2^-16 each, sum to exactly 1."""
+    from mbqc.cli import main
+    wire = _load_perfbench("workloads", monkeypatch).cluster_wire(np.random.default_rng(1), 2, 9)
+    path = tmp_path / "wire.json"
+    path.write_text(json.dumps(wire))
+    assert main(["branches", "--pattern", str(path), "--backend", "stab"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["n_branches"] == 65536 and result["probability_sum"] == 1.0
 
 
 def test_statevector_walk_projects_once_per_command(rng, monkeypatch):

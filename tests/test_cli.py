@@ -640,26 +640,34 @@ def test_memory_is_checked_in_one_place_before_allocating(files, capsys, monkeyp
 
 def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
                                                                   monkeypatch):
-    """A stabilizer level holds up to 2^k tableaux for k commands: with
-    physical memory patched one byte short of 2^8 9-qubit tableaux, a 9-site
-    chain exits 3 with one line and builds no tableau; at exactly that
-    much it runs."""
+    """A stabilizer enumeration holds its outcome table and one tableau at a
+    time, each checked against physical memory before it is built.  With
+    physical memory patched one byte short of the 2^8-branch table of a
+    9-site chain, or of one tableau of a 1000-site chain whose one command
+    leaves 999 outputs, each exits 3 with one line and builds no tableau; at
+    exactly that much each runs."""
     from mbqc import errors
     from mbqc.tableau import Tableau
     built = []
     init = Tableau.__init__
-    monkeypatch.setattr(Tableau, "__init__", lambda t, n: built.append(n) or init(t, n))
-    path = _chain_pattern(files["tmp"] / "chain9.json", 9)
-    need = (1 << 8) * 32 * 9
-    monkeypatch.setattr(errors, "physical_memory", lambda: need - 1)
-    assert main(["branches", "--pattern", path, "--backend", "stab"]) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"capacity exceeded: a level of 256 9-qubit tableaux needs {need} bytes")
-    assert built == []
-    monkeypatch.setattr(errors, "physical_memory", lambda: need)
-    code, rep = run_cli(["branches", "--pattern", path, "--backend", "stab"], capsys)
-    assert code == 0 and rep["result"]["n_branches"] == 256 and built
+    monkeypatch.setattr(Tableau, "__init__", lambda t, n: init(t, n) or built.append(n))
+    wide = files["tmp"] / "wide.json"
+    wide.write_text(MeasurementPattern(Graph(1000, [(v, v + 1) for v in range(999)]), [],
+                                       range(1, 1000), [MeasurementCommand(0, "XY")]).to_json())
+    cases = ((_chain_pattern(files["tmp"] / "chain9.json", 9), (1 << 8) * (8 + 16),
+              "an outcome table of 2^8 branches", 256),
+             (str(wide), 32 * 1000 * 16, "a 1000-qubit tableau", 2))
+    for path, need, what, n_branches in cases:
+        built.clear()
+        monkeypatch.setattr(errors, "physical_memory", lambda: need - 1)
+        assert main(["branches", "--pattern", path, "--backend", "stab"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"capacity exceeded: {what} needs {need} bytes")
+        assert built == []
+        monkeypatch.setattr(errors, "physical_memory", lambda: need)
+        code, rep = run_cli(["branches", "--pattern", path, "--backend", "stab"], capsys)
+        assert code == 0 and rep["result"]["n_branches"] == n_branches and built
 
 
 def test_branch_outcome_table_is_checked_before_the_walk(files, capsys, monkeypatch):
@@ -685,16 +693,40 @@ def test_branch_outcome_table_is_checked_before_the_walk(files, capsys, monkeypa
         assert err.startswith(f"capacity exceeded: {message}"), err
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_pipe_is_one_line_and_exit_2(files):
+    """A report whose stdout pipe has lost its reader ends like an unwritable
+    ``--json-out``: exit 2 with one ``error: cannot write stdout:`` line and
+    no traceback, after ``--json-out`` is written."""
+    pattern = _chain_pattern(files["tmp"] / "chain4.json", 4)
+    report = files["tmp"] / "report.json"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mbqc.cli", "branches", "--pattern", pattern,
+                               "--backend", "stab", "--json-out", str(report)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=_src_env())
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert json.loads(report.read_text())["result"]["n_branches"] == 8
+
+
 def test_percolation_imports_no_tableau_layer():
     """The CLI loads each layer inside the subcommands that use it."""
     probe = ("import sys; from mbqc.cli import main; "
              "main(['percolation', '--rate', '0.3', '--rows', '4', '--cols', '4', "
              "'--n-seeds', '2']); "
              "print(sorted(m for m in sys.modules if m.startswith('mbqc.')))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                          text=True, check=True).stdout
     loaded = ast.literal_eval(out.splitlines()[-1])
     assert "mbqc.graphs" in loaded

@@ -214,9 +214,20 @@ def test_z_plane_commutes_with_nonneighbors(rng):
 
 
 def test_stabilizer_backend_requires_pi_over_2():
-    p = wire_pattern(0.3)
-    with pytest.raises(CapacityError):
-        run_pattern(p, backend="stabilizer")
+    """An angle off the multiples of pi/2 is refused, and so is one of 2^31
+    or more quarter turns (at 1e17 every float quotient is whole); 1e6 quarter
+    turns still agree with the statevector backend on every branch."""
+    for theta in (0.3, 1e17, 2 ** 31 * math.pi / 2):
+        with pytest.raises(CapacityError):
+            run_pattern(wire_pattern(theta), backend="stabilizer")
+    from mbqc.tableau import tableau_to_statevector
+    p = wire_pattern(1e6 * math.pi / 2)
+    stab = enumerate_branches(p, backend="stabilizer")
+    sv = enumerate_branches(p)
+    assert [b.outcomes for b in stab] == [b.outcomes for b in sv]
+    for a, b in zip(sv, stab):
+        got = tableau_to_statevector(b.output_state)
+        assert fidelity_up_to_phase(got, a.output_state) > 1 - 1e-12
 
 
 def test_stabilizer_backend_rejects_input():
