@@ -10,7 +10,9 @@ writes it deterministically (same argv give byte-identical files); stdout
 prints the same line with ``wall_time_ms`` as its last key.  ``--seed``
 (run-pattern, slice, percolation) seeds the outcome and defect draws.
 ``--cap`` (run-pattern, branches, partition) overrides the statevector
-qubit cap, defaulting to the ``MBQC_CAP`` environment variable when set.
+qubit cap, defaulting to the ``MBQC_CAP`` environment variable when set; for
+a pattern walk it counts the peak live sites, those prepared and not yet
+measured, and for ``partition`` the decorated resource.
 
 Each subcommand imports the layers it uses in its own body, so start-up
 loads only ``graphs`` (percolation needs nothing else).
@@ -26,11 +28,12 @@ import tempfile
 import time
 
 from .errors import (CapacityError, ContradictionError, MbqcError,
-                     ValidationError, VerificationError)
+                     ValidationError, VerificationError, check_memory)
 from . import __version__
 from .graphs import Graph, LatticeSpec, build_lattice, spanning_probability
 
 SCHEMA_VERSION = 1
+ROW_BYTES = 1024, 48    # a branches row, its table entry and encoded text: base, per command
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -166,6 +169,8 @@ def _cmd_branches(args) -> dict:
     table = enumerate_branches(pattern, backend=_backend_name(args.backend),
                                branch_cap=args.branch_cap, cap=_resolve_cap(args), _table=True)
     sites = [str(c.site) for c in pattern.commands]     # one key list serves every row
+    check_memory(len(table) * (ROW_BYTES[0] + ROW_BYTES[1] * len(sites)),
+                 f"a report of {len(table)} branches")
     frames = [f.to_json_dict() for f in table.frames]     # shared by the branches of a frame
     rows = zip(table, table.probability, table.log2_probability, table.frame_index)
     return {"n_branches": len(table), "probability_sum": sum(table.probability),
@@ -267,7 +272,8 @@ def _build_parser() -> _CliParser:
                        help="write a deterministic JSON report here")
         if cap:
             p.add_argument("--cap", type=int, default=None,
-                           help="statevector qubit cap (default: MBQC_CAP or 22)")
+                           help="statevector qubit cap: a pattern walk's peak live sites, "
+                                "partition's decorated resource (default: MBQC_CAP or 22)")
         if backend:
             p.add_argument("--backend", choices=("sv", "stab"), default="sv")
 

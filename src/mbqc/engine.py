@@ -20,10 +20,16 @@ column per command, and the probabilities; frames come from one GF(2)
 product, and records are built at the API boundary.  A backend supplies a
 step (one command on every branch of a level: each followed outcome's
 parent, outcome and probability, and the children's level) and an output
-extraction.  A statevector level is one ``branches x 2^live`` array, since
-branches at one depth hold the same live qubits: one projection per command
-serves them all, and a level holds at most 2^n amplitudes (``SV_TRANSIENT``
-bounds the walk's peak).  The stabilizer step measures one tableau.  At
+extraction.  The statevector backend prepares the resource lazily, in the
+standard form of Danos, Kashefi & Panangaden (arXiv 0704.1263): a site joins
+in |+> just before it or a neighbour is measured, and each edge's CZ is
+applied just before its first end is measured, so only the live sites are
+held.  A level is one ``branches x 2^live`` array, since branches at one
+depth hold the same live sites: one CZ per edge and one projection per
+command serve them all.  A run holds 2^W amplitudes for its peak live width
+W, which ``cap`` bounds; an enumeration's level at command j holds at most
+2^j x 2^(live at j), never more than 2^n (``SV_TRANSIENT`` bounds the walk's
+peak).  The stabilizer step measures one tableau.  At
 multiples of pi/2 no basis depends on an earlier outcome, so the x/z bits
 and the random commands are the same on every branch, and outcomes and
 output signs are GF(2)-affine in the k random outcomes: its enumeration is a
@@ -45,12 +51,13 @@ from .errors import (CapacityError, ValidationError, check_memory, json_array, j
                      json_int, json_number, json_object)
 from .graphs import Graph
 from .rng import PROB_TOL, OutcomeSource, as_outcome_source
-from .statevector import (DEFAULT_CAP, StateVector, _probability0, _project, apply_cz,
-                          apply_pauli, fidelity_up_to_phase, permute_qubits, tensor)
+from .statevector import (DEFAULT_CAP, StateRows, StateVector, _probability0, _project,
+                          append_plus, apply_cz, apply_pauli, fidelity_up_to_phase)
 from .tableau import Tableau, extract_subtableau, graph_state_tableau, tableau_to_statevector
 
 HALF_PI = math.pi / 2.0
-SV_TRANSIENT = 3     # peak 2^n-amplitude arrays of a walk: a level, its children, a gather
+SV_TRANSIENT = 4     # peak level-sized arrays of a walk: a level before and after it
+                     # widens (np.repeat), its children, and one gathered half
 
 
 @dataclass(frozen=True)
@@ -231,25 +238,30 @@ def _require_valid(p: MeasurementPattern) -> None:
         raise ValidationError("invalid pattern: " + "; ".join(issues))
 
 
-def _prepare_statevector(p: MeasurementPattern,
-                         input_state: Optional[StateVector], cap: int) -> StateVector:
-    n = p.resource.n_vertices
-    if n > cap:
-        raise CapacityError(f"resource has {n} sites, cap {cap}")
-    check_memory(SV_TRANSIENT * 16 << n, f"a {n}-qubit statevector walk")
-    if input_state is None:
-        state = StateVector.plus_state(n)
-    else:
-        if input_state.n != len(p.input_sites):
-            raise ValidationError("input state size does not match input sites")
-        rest = [s for s in range(n) if s not in set(p.input_sites)]
-        state = tensor(input_state, StateVector.plus_state(len(rest)))
-        # current qubit order is (inputs..., rest...); bring into site order
-        current = list(p.input_sites) + rest
-        state = permute_qubits(state, [current.index(s) for s in range(n)])
-    for a, b in p.resource.edges:
-        apply_cz(state, a, b)
-    return state
+def _entangling_schedule(p: MeasurementPattern) -> tuple[list, list[int]]:
+    """A statevector walk's lazy preparation: per command, then once for the
+    leaves, the sites that join the live qubits in |+> (appended in that
+    order) and the edges then entangled, with the live width there.  The
+    inputs are live from the start.  A site joins just before it or a
+    neighbour is measured, and an edge is entangled just before its first
+    end is measured (between two outputs, at the leaves), so each edge is
+    entangled once, and the leaves hold only the outputs."""
+    adj, measured = p.resource.adjacency(), set()
+    live = set(p.input_sites)
+    plan, widths = [], []
+    for c in p.commands:
+        near = [c.site] + sorted(t for t in adj[c.site] if t not in measured)
+        joins = [t for t in near if t not in live]
+        live.update(joins)
+        plan.append((joins, [(c.site, t) for t in near[1:]]))
+        widths.append(len(live))
+        live.remove(c.site)
+        measured.add(c.site)
+    joins = [o for o in p.output_sites if o not in live]
+    plan.append((joins, [(a, b) for a, b in p.resource.edges
+                         if a not in measured and b not in measured]))
+    widths.append(len(live) + len(joins))
+    return plan, widths
 
 
 def _is_quarter_turns(theta: float) -> bool:
@@ -346,7 +358,7 @@ def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: st
     children in outcome order: the one a source's ``choose`` picks, or without
     one each of probability >= PROB_TOL.  One live branch keeps Python scalars
     (numpy calls cost more).  Returns the table and a leaf-output callable."""
-    level, step, output = _backend(p, input_state, backend, cap)
+    level, step, output = _backend(p, input_state, backend, cap, src)
     col = {c.site: j for j, c in enumerate(p.commands)}
     bits, prob, log2_prob, one = np.zeros((1, len(col)), dtype=np.uint8), 1.0, 0.0, {}
     for j, c in enumerate(p.commands):        # a Z command ignores its angle
@@ -408,14 +420,40 @@ class _ReferenceSource(OutcomeSource):
 
 
 def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
-             cap: int):
+             cap: int, src: Optional[OutcomeSource] = None):
     """(root level, step, output) for one backend.  ``step(level, command,
     thetas, src)`` returns, per followed (branch, outcome) in order, the
     branch's index in ``level``, the outcome and its probability, and then the
-    children's level; ``output(level)`` gives each leaf's output state."""
+    children's level; ``output(level)`` gives each leaf's output state.  The
+    walk's ``src`` is None in an enumeration, whose levels are checked for
+    memory; a run's level is one branch."""
     if backend == "statevector":
+        plan, widths = _entangling_schedule(p)
+        if max(widths) > cap:
+            raise CapacityError(f"a walk of {max(widths)} live sites exceeds cap {cap}")
+        # the level at command j holds at most 2^j branches of 2^widths[j] amplitudes
+        bits = max(widths) if src is not None else max(j + w for j, w in enumerate(widths))
+        check_memory(SV_TRANSIENT * 16 << bits, f"a {bits}-qubit statevector walk")
+        if input_state is None:
+            amps = StateVector.plus_state(len(p.input_sites)).amps[None]
+        elif input_state.n != len(p.input_sites):
+            raise ValidationError("input state size does not match input sites")
+        else:
+            amps = input_state.amps[None].copy()    # entangled in place, so a copy
+        sites = [c.site for c in p.commands]        # what joins before and after a command
+        before, after = dict(zip(sites, plan)), dict(zip(sites[-1:], plan[-1:]))
+
+        def prepare(level, joins=(), edges=()):     # widen by the joining sites, then entangle
+            amps, live = level
+            if joins:
+                amps, live = append_plus(amps, len(joins)), live + joins
+            rows = StateRows(len(live), amps)
+            for a, b in edges:
+                apply_cz(rows, live.index(a), live.index(b))
+            return rows.amps, live
+
         def sv_step(level, c, thetas, src):
-            amps, live = level            # one row per branch; live: site held by each qubit
+            amps, live = prepare(level, *before.get(c.site, ()))  # a site per qubit
             pos = live.index(c.site)
             p0 = _probability0(amps, pos, c.plane, thetas)
             pm = np.stack([p0, 1.0 - p0], axis=1)       # branch x outcome
@@ -425,16 +463,17 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
                 parent, outcome = np.arange(len(p0)), [src.choose(c.site, x) for x in p0.tolist()]
             post, norm = _project(amps, pos, c.plane, thetas, parent, outcome)
             post /= np.sqrt(norm)[:, None]
-            return parent, outcome, pm[parent, outcome], (post, live[:pos] + live[pos + 1:])
+            level = prepare((post, live[:pos] + live[pos + 1:]), *after.get(c.site, ()))
+            return parent, outcome, pm[parent, outcome], level
 
         def sv_output(level):
-            amps, live = level            # live: the output sites, ascending
+            amps, live = level            # live: the output sites, in the order they joined
             axes = [0] + [1 + live.index(s) for s in p.output_sites]
             out = amps.reshape((len(amps),) + (2,) * len(live)).transpose(axes)
             return [StateVector(len(live), a) for a in out.reshape(len(amps), -1)]
 
-        root = _prepare_statevector(p, input_state, cap).amps[None]
-        return (root, list(range(p.resource.n_vertices))), sv_step, sv_output
+        root = amps, list(p.input_sites)        # one row; the inputs, in input order
+        return (root if sites else prepare(root, *plan[-1])), sv_step, sv_output
     if backend == "stabilizer":
         if input_state is not None:
             raise CapacityError("stabilizer backend does not take injected inputs")

@@ -13,8 +13,9 @@ sizes.  Conventions, fixed once for the whole package:
   ``compact``; the engine's step projects it out directly (``_project``,
   which works on a stack of states, one per row, as does ``_probability0``).
 
-Default capacity is 22 qubits; operations beyond a cap fail fast with
-CapacityError instead of thrashing memory.
+Default capacity is 22 qubits held at once (for a pattern walk, its peak
+live sites); operations beyond a cap fail fast with CapacityError instead
+of thrashing memory.
 """
 from __future__ import annotations
 
@@ -73,6 +74,27 @@ class StateVector:
         p = self._bitpos(qubit)
         shaped = self.amps.reshape(1 << (self.n - 1 - p), 2, 1 << p)
         return shaped[:, 0, :], shaped[:, 1, :], shaped.shape
+
+
+class StateRows:
+    """Rows of n-qubit states, ``rows x 2^n`` amplitudes (a pattern walk's
+    level, one row per branch), which ``apply_cz`` takes like a
+    ``StateVector`` and applies to every row at once."""
+
+    __slots__ = ("n", "amps")
+    _bitpos = StateVector._bitpos
+
+    def __init__(self, n: int, amps: np.ndarray):
+        self.n, self.amps = int(n), np.ascontiguousarray(amps)
+
+
+def append_plus(amps: np.ndarray, k: int) -> np.ndarray:
+    """A new array of ``amps`` (one state, or rows of states along the last
+    axis) with k qubits in |+> appended as the least significant: each
+    amplitude repeated 2^k times, times 2^(-k/2)."""
+    wide = np.repeat(amps, 1 << k, axis=-1)
+    wide *= 2.0 ** (-k / 2)
+    return wide
 
 
 def graph_state_vector(graph: Graph, cap: int = DEFAULT_CAP) -> StateVector:
@@ -304,15 +326,6 @@ def extract_qubits(state: StateVector, keep: Sequence[int]) -> StateVector:
     shaped = cur.amps.reshape([2] * cur.n)
     reordered = np.transpose(shaped, perm).reshape(-1)
     return StateVector(cur.n, reordered)
-
-
-def permute_qubits(state: StateVector, order: Sequence[int]) -> StateVector:
-    """New state whose qubit k is the input's qubit order[k]."""
-    order = [int(q) for q in order]
-    if sorted(order) != list(range(state.n)):
-        raise ValidationError("order must be a permutation of all qubits")
-    shaped = state.amps.reshape([2] * state.n)
-    return StateVector(state.n, np.transpose(shaped, order).reshape(-1))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (CapacityError, ValidationError, VerificationError, json_index, json_number,
                      json_object)
 from .graphs import Graph
-from .statevector import DEFAULT_CAP, ProductState, StateVector, apply_cz, overlap
+from .statevector import DEFAULT_CAP, ProductState, StateVector, append_plus, apply_cz, overlap
 
 BRUTE_CAP = 24
 _BLOCK = 1 << 16
@@ -212,7 +212,7 @@ def log_partition_function_overlap(model: SpinModel, cap: int = DEFAULT_CAP) -> 
         raise CapacityError(f"decorated resource needs {nq} qubits, cap {cap}")
     state = StateVector.plus_state(n)
     for k, (a, b) in enumerate(model.graph.edges):
-        wide = StateVector(n + 1, np.repeat(state.amps, 2) * math.sqrt(0.5))
+        wide = StateVector(n + 1, append_plus(state.amps, 1))
         apply_cz(wide, a, n)
         apply_cz(wide, n, b)
         c0, c1 = res.local_states.coeffs[n + k]

@@ -297,3 +297,41 @@ def test_benchmark_inputs_obey_the_schemas(seed, tmp_path, monkeypatch):
             parse(doc)
             checked[suffix] += 1
     assert set(checked) == set(_INPUT_KINDS)
+
+
+def test_statevector_walk_entangles_each_edge_once_within_live_width(rng, monkeypatch):
+    """The traced benchmark counts one ``apply_cz`` per resource edge per
+    statevector walk (``statevector.apply_cz.calls``): each edge is entangled
+    once, on the whole level, whether the walk is a run, an enumeration or
+    the CLI's table, and whatever its outputs' edges.  No level handed to
+    ``_project`` is wider than 2^W amplitudes for the walk's peak live width
+    W, which on these patterns is below the site count."""
+    calls = Counter()
+    cz, project = engine.apply_cz, engine._project
+
+    def counting_cz(state, a, b):
+        calls["cz"] += 1
+        return cz(state, a, b)
+
+    def width_checking_project(amps, *args):
+        calls["widest"] = max(calls["widest"], amps.shape[1])
+        return project(amps, *args)
+
+    monkeypatch.setattr(engine, "apply_cz", counting_cz)
+    monkeypatch.setattr(engine, "_project", width_checking_project)
+    narrower = 0
+    for _ in range(12):
+        n = int(rng.integers(3, 11))
+        outputs = rng.permutation(n)[:int(rng.integers(1, 4))].tolist()
+        commands = [MeasurementCommand(s, "XY", float(rng.uniform(-np.pi, np.pi)))
+                    for s in rng.permutation(n).tolist() if s not in outputs]
+        p = MeasurementPattern(random_graph(n, rng, p=0.35), [], outputs, commands)
+        width = max(engine._entangling_schedule(p)[1])
+        narrower += width < n
+        for walk in (lambda: run_pattern(p, randomness=3), lambda: enumerate_branches(p),
+                     lambda: enumerate_branches(p, _table=True)):
+            calls.clear()
+            walk()
+            assert calls["cz"] == p.resource.n_edges
+            assert calls["widest"] <= 1 << width
+    assert narrower

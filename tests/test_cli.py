@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import schema_validator
 from mbqc.cli import main
-from mbqc.engine import MeasurementCommand, MeasurementPattern, enumerate_branches
+from mbqc.engine import (MeasurementCommand, MeasurementPattern, _entangling_schedule,
+                         enumerate_branches)
 from mbqc.graphs import Graph
 
 pytest.importorskip("jsonschema")
@@ -603,16 +604,34 @@ def _chain_pattern(path, n):
     return str(path)
 
 
+def _star_pattern(path, n):
+    """An n-site star whose hub, site 0, is measured first: all n sites are
+    live at that command."""
+    p = MeasurementPattern(Graph(n, [(0, v) for v in range(1, n)]), [], [n - 1],
+                           [MeasurementCommand(v, "XY", 0.0) for v in range(n - 1)])
+    path.write_text(p.to_json())
+    return str(path)
+
+
+def _rows_need(n_branches, k):
+    """Bytes the CLI checks for the report rows of n_branches branches of k commands."""
+    from mbqc.cli import ROW_BYTES
+    return n_branches * (ROW_BYTES[0] + ROW_BYTES[1] * k)
+
+
 def test_memory_is_checked_in_one_place_before_allocating(files, capsys, monkeypatch):
     """A raised ``--cap`` or ``MBQC_CAP`` does not let a statevector walk
     allocate past physical memory: with physical memory patched to what a
-    12-site walk needs (``SV_TRANSIENT`` times 16 * 2^12 bytes), 30 and 13
-    sites exit 3 with one line before allocating, 12 sites run, and the
-    tableau's size check obeys the same rule."""
+    12-live-site run needs (``SV_TRANSIENT`` times 16 * 2^12 bytes), a
+    30-site star, all live when its hub is measured, exits 3 with one line
+    before allocating, and so does a 1000-qubit tableau.  With it patched to
+    the report rows of the 12-site chain's 2^11 branches, that chain's
+    ``branches`` runs and the 13-site chain's exits 3 before its rows are
+    built."""
     from mbqc import errors
     from mbqc.engine import SV_TRANSIENT
     monkeypatch.setattr(errors, "physical_memory", lambda: SV_TRANSIENT * 16 << 12)
-    wide = _chain_pattern(files["tmp"] / "chain30.json", 30)
+    wide = _star_pattern(files["tmp"] / "star30.json", 30)
     for flag, env in (("--cap", None), (None, "30")):
         if env:
             monkeypatch.setenv("MBQC_CAP", env)
@@ -626,16 +645,21 @@ def test_memory_is_checked_in_one_place_before_allocating(files, capsys, monkeyp
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("capacity exceeded: a 30-qubit statevector walk needs")
-    monkeypatch.delenv("MBQC_CAP")
-    for n, want in ((13, 3), (12, 0)):
-        path = _chain_pattern(files["tmp"] / f"chain{n}.json", n)
-        assert main(["branches", "--pattern", path, "--cap", "30"]) == want
-        capsys.readouterr()
     lattice = files["tmp"] / "chain1000.json"
     lattice.write_text(json.dumps({"kind": "chain", "dims": [1000]}))
     assert main(["graph-state", "--lattice", str(lattice)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("capacity exceeded: a 1000-qubit tableau needs")
+    monkeypatch.delenv("MBQC_CAP")
+    monkeypatch.setattr(errors, "physical_memory", lambda: _rows_need(1 << 11, 11))
+    for n, want in ((13, 3), (12, 0)):
+        path = _chain_pattern(files["tmp"] / f"chain{n}.json", n)
+        assert main(["branches", "--pattern", path, "--cap", "30"]) == want
+        err = capsys.readouterr().err
+        if want:
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"capacity exceeded: a report of 4096 branches needs "
+                                  f"{_rows_need(1 << 12, 12)} bytes")
 
 
 def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
@@ -644,8 +668,10 @@ def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
     time, each checked against physical memory before it is built.  With
     physical memory patched one byte short of the 2^8-branch table of a
     9-site chain, or of one tableau of a 1000-site chain whose one command
-    leaves 999 outputs, each exits 3 with one line and builds no tableau; at
-    exactly that much each runs."""
+    leaves 999 outputs, each exits 3 with one line and builds no tableau.
+    At exactly that much the 1000-site chain runs; the 9-site chain walks
+    and exits 3 with one line before building its report rows, and runs
+    with memory for those rows."""
     from mbqc import errors
     from mbqc.tableau import Tableau
     built = []
@@ -655,9 +681,9 @@ def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
     wide.write_text(MeasurementPattern(Graph(1000, [(v, v + 1) for v in range(999)]), [],
                                        range(1, 1000), [MeasurementCommand(0, "XY")]).to_json())
     cases = ((_chain_pattern(files["tmp"] / "chain9.json", 9), (1 << 8) * (8 + 16),
-              "an outcome table of 2^8 branches", 256),
-             (str(wide), 32 * 1000 * 16, "a 1000-qubit tableau", 2))
-    for path, need, what, n_branches in cases:
+              "an outcome table of 2^8 branches", 256, 8),
+             (str(wide), 32 * 1000 * 16, "a 1000-qubit tableau", 2, 1))
+    for path, need, what, n_branches, k in cases:
         built.clear()
         monkeypatch.setattr(errors, "physical_memory", lambda: need - 1)
         assert main(["branches", "--pattern", path, "--backend", "stab"]) == 3
@@ -665,7 +691,15 @@ def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
         assert len(err.splitlines()) == 1
         assert err.startswith(f"capacity exceeded: {what} needs {need} bytes")
         assert built == []
-        monkeypatch.setattr(errors, "physical_memory", lambda: need)
+        rows = _rows_need(n_branches, k)
+        if rows > need:
+            monkeypatch.setattr(errors, "physical_memory", lambda: need)
+            assert main(["branches", "--pattern", path, "--backend", "stab"]) == 3
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"capacity exceeded: a report of {n_branches} branches "
+                                  f"needs {rows} bytes")
+        monkeypatch.setattr(errors, "physical_memory", lambda: max(need, rows))
         code, rep = run_cli(["branches", "--pattern", path, "--backend", "stab"], capsys)
         assert code == 0 and rep["result"]["n_branches"] == n_branches and built
 
@@ -768,8 +802,39 @@ def test_branches_takes_the_statevector_cap(files, capsys, monkeypatch):
     assert main(["branches", "--pattern", str(pat)]) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
     monkeypatch.delenv("MBQC_CAP")
-    assert main(["branches", "--pattern", str(pat), "--cap", "3"]) == 3
+    width = max(_entangling_schedule(MeasurementPattern.from_json(pat.read_text()))[1])
+    assert main(["branches", "--pattern", str(pat), "--cap", str(width - 1)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"capacity exceeded: a walk of {width} live sites exceeds cap {width - 1}\n"
+    assert main(["branches", "--pattern", str(pat), "--cap", str(width)]) == 0
     capsys.readouterr()
+
+
+def test_cap_counts_live_sites_not_resource_sites(files, capsys):
+    """A compiled circuit of more than 22 sites runs under the default cap,
+    which counts the sites a statevector walk holds live at once; replayed
+    with the reported outcomes, its output corrected by the reported frame
+    is the circuit's own."""
+    from mbqc.compiler import Circuit, simulate_circuit
+    from mbqc.engine import apply_frame, run_pattern
+    from mbqc.statevector import fidelity_up_to_phase
+    circuit = {"n": 3, "gates": [{"g": "H", "q": [0]}, {"g": "CNOT", "q": [0, 1]},
+                                 {"g": "Rz", "q": [1], "theta": 0.37}, {"g": "CZ", "q": [1, 2]},
+                                 {"g": "Rx", "q": [2], "theta": 0.5}, {"g": "CNOT", "q": [2, 0]}]}
+    files["tmp"].joinpath("wide.circuit.json").write_text(json.dumps(circuit))
+    pat = files["tmp"] / "wide.pattern.json"
+    code, rep = run_cli(["compile", "--circuit", str(files["tmp"] / "wide.circuit.json"),
+                         "--out", str(pat)], capsys)
+    assert code == 0 and rep["result"]["n_sites"] > 22
+    code, rep = run_cli(["run-pattern", "--pattern", str(pat), "--backend", "sv", "--seed", "7"],
+                        capsys)
+    assert code == 0
+    outcomes = {int(k): v for k, v in rep["result"]["outcomes"].items()}
+    rec = run_pattern(MeasurementPattern.from_json(pat.read_text()), forced=outcomes)
+    assert rec.frame.to_json_dict() == rep["result"]["frame"]
+    corrected = apply_frame(rec.output_state, rec.frame, rec.output_sites)
+    want = simulate_circuit(Circuit.from_json_dict(circuit))
+    assert fidelity_up_to_phase(corrected, want) >= 1 - 1e-9
 
 
 def test_flags_a_subcommand_does_not_take_are_usage_errors(files, capsys):

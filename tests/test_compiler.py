@@ -170,3 +170,29 @@ def test_circuit_json_round_trip():
     c2 = Circuit.from_json(circ.to_json())
     assert c2.to_json() == circ.to_json()
     assert c2.gates[1].theta == circ.gates[1].theta
+
+
+def test_wide_compiled_circuit_frame_corrects_onto_the_circuit():
+    """A random 6-qubit, 40-gate circuit compiles to about 400 sites, far
+    past the 22-qubit cap, but the statevector walk prepares each site only
+    when it or a neighbour is next to be measured, so it holds a handful at
+    once: seeded runs on a random input frame-correct onto
+    ``simulate_circuit``."""
+    rng = np.random.default_rng(6)
+    gates = []
+    for _ in range(40):
+        name = ("H", "S", "Rz", "Rx", "CZ", "CNOT")[int(rng.integers(6))]
+        if name in ("CZ", "CNOT"):
+            gates.append(GateOp(name, tuple(int(q) for q in rng.choice(6, 2, replace=False))))
+        else:
+            gates.append(GateOp(name, (int(rng.integers(6)),),
+                                float(rng.uniform(-math.pi, math.pi)) if name[0] == "R" else 0.0))
+    circ = Circuit(6, gates)
+    prog = compile_circuit(circ)
+    assert 300 <= prog.pattern.resource.n_vertices <= 700
+    psi = random_state(6, rng)
+    want = simulate_circuit(circ, psi)
+    for seed in range(3):
+        rec = run_pattern(prog.pattern, input_state=psi, randomness=seed)
+        corrected = apply_frame(rec.output_state, rec.frame, rec.output_sites)
+        assert fidelity_up_to_phase(corrected, want) >= 1 - 1e-9

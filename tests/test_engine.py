@@ -416,3 +416,69 @@ def test_backends_agree_on_every_branch(seed):
         want = apply_frame(a.output_state, a.frame, p.output_sites)
         got = tableau_to_statevector(apply_frame(b.output_state, b.frame, p.output_sites))
         assert fidelity_up_to_phase(got, want) > 1 - 1e-9
+
+
+def _adaptive_pattern(n, inputs, rng):
+    """Random graph on n sites with the given inputs; the last two sites of a
+    random order are the outputs, and every command adapts to earlier ones."""
+    order = rng.permutation(n).tolist()
+    commands = []
+    for j, s in enumerate(order[:-2]):
+        deps = [d for d in order[:j] if rng.random() < 0.3]
+        commands.append(MeasurementCommand(s, "Z" if rng.random() < 0.15 else "XY",
+                                           float(rng.uniform(-np.pi, np.pi)),
+                                           deps[::2], deps[1::2]))
+    return MeasurementPattern(random_graph(n, rng, p=0.4), inputs, order[-2:], commands)
+
+
+def test_input_state_is_left_unchanged(rng):
+    """The walk entangles its level in place; a caller's injected input state
+    is copied first, by a run and by an enumeration alike.  The first
+    pattern's first command entangles two inputs before any site joins, and
+    the second's only command is none: all its sites are inputs and outputs."""
+    patterns = [MeasurementPattern(Graph(3, [(0, 1), (1, 2)]), [1, 0], [2],
+                                   [MeasurementCommand(0, "XY", 0.3),
+                                    MeasurementCommand(1, "XY", 0.7)]),
+                MeasurementPattern(Graph(3, [(0, 1), (1, 2)]), [2, 0, 1], [0, 1, 2], [])]
+    patterns += [_adaptive_pattern(6, [4, 1, 0], rng) for _ in range(4)]
+    for p in patterns:
+        psi = random_state(len(p.input_sites), rng)
+        kept = psi.amps.copy()
+        run_pattern(p, input_state=psi, randomness=1)
+        assert np.array_equal(psi.amps, kept)
+        enumerate_branches(p, input_state=psi)
+        assert np.array_equal(psi.amps, kept)
+
+
+def test_inputs_out_of_site_order_match_a_dense_reference(rng):
+    """Inputs listed out of site order are injected in their listed order:
+    each branch's output and probability match a dense reference that
+    prepares all sites, entangles every edge and then projects each command
+    in turn, written here with its own index arithmetic."""
+    for _ in range(6):
+        n = int(rng.integers(4, 8))
+        inputs = rng.permutation(n)[:3].tolist()
+        if inputs == sorted(inputs):
+            inputs.reverse()
+        p = _adaptive_pattern(n, inputs, rng)
+        psi = random_state(3, rng)
+        rest = [s for s in range(n) if s not in inputs]
+        dense = np.kron(psi.amps, np.full(1 << len(rest), 2.0 ** (-len(rest) / 2)))
+        dense = np.moveaxis(dense.reshape((2,) * n), range(n), inputs + rest)
+        bits = np.indices((2,) * n)
+        for a, b in p.resource.edges:
+            dense = dense * (1 - 2 * (bits[a] & bits[b]))
+        for b in enumerate_branches(p, input_state=psi):
+            ref, axes = dense, list(range(n))
+            for c in p.commands:
+                m = b.outcomes[c.site]
+                theta = c.effective_angle(b.outcomes)
+                bra = (np.array([1 - m, m]) if c.plane == "Z" else
+                       np.array([1, (-1) ** m * np.exp(-1j * theta)]) / math.sqrt(2))
+                ref = np.tensordot(ref, bra, axes=([axes.index(c.site)], [0]))
+                axes.remove(c.site)
+            ref = np.transpose(ref, [axes.index(o) for o in p.output_sites]).reshape(-1)
+            prob = float(np.vdot(ref, ref).real)
+            assert abs(b.probability - prob) < 1e-12
+            want = StateVector(len(p.output_sites), ref / math.sqrt(prob))
+            assert fidelity_up_to_phase(b.output_state, want) > 1 - 1e-12
