@@ -284,7 +284,8 @@ def run_pattern(p: MeasurementPattern, input_state: Optional[StateVector] = None
 
 def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector] = None,
                        backend: str = "statevector", branch_cap: int = 1 << 16,
-                       cap: int = DEFAULT_CAP, *, _table: bool = False) -> list[BranchRecord]:
+                       cap: int = DEFAULT_CAP, *, _table: bool = False,
+                       _row_bytes: int = 0) -> list[BranchRecord]:
     """Exhaustively force every realizable outcome combination.
 
     Zero-probability combinations are pruned (they are not branches of the
@@ -294,7 +295,8 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
     once plus once per random command (module docstring), one tableau at a
     time; its output tableaux share one set of x/z rows, so copy one before
     changing it.  ``_table=True`` returns the walk's ``BranchTable``, with
-    no records and no output state."""
+    no records and no output state; a caller that spends ``_row_bytes`` on
+    each branch has 2^k of those checked too, before the walk."""
     _require_valid(p)
     k = len(p.commands)
     if branch_cap < 0:
@@ -303,11 +305,11 @@ def enumerate_branches(p: MeasurementPattern, input_state: Optional[StateVector]
         raise CapacityError(f"2^{k} branches exceed cap {branch_cap}")
     check_memory(2 ** k * (k + 16), f"an outcome table of 2^{k} branches")
     if backend != "stabilizer":
-        table, leaves = _walk(p, input_state, backend, cap, None)
+        table, leaves = _walk(p, input_state, backend, cap, None, _row_bytes)
         return table if _table else _records(p, table, leaves)
 
     def run(src):       # its table, and its output tableau only for records
-        table, leaves = _walk(p, input_state, backend, cap, src)
+        table, leaves = _walk(p, input_state, backend, cap, src, _row_bytes)
         return table, None if _table else leaves()[0]
 
     ref = _ReferenceSource()    # a run's outcomes and output signs, XOR ref's: a generator
@@ -353,12 +355,13 @@ def _records(p: MeasurementPattern, table: BranchTable, leaves: Callable) -> lis
 
 
 def _walk(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
-          cap: int, src: Optional[OutcomeSource]) -> tuple[BranchTable, Callable]:
+          cap: int, src: Optional[OutcomeSource], row_bytes: int = 0
+          ) -> tuple[BranchTable, Callable]:
     """Level-synchronous walk: each live branch takes each command together, its
     children in outcome order: the one a source's ``choose`` picks, or without
     one each of probability >= PROB_TOL.  One live branch keeps Python scalars
     (numpy calls cost more).  Returns the table and a leaf-output callable."""
-    level, step, output = _backend(p, input_state, backend, cap, src)
+    level, step, output = _backend(p, input_state, backend, cap, src, row_bytes)
     col = {c.site: j for j, c in enumerate(p.commands)}
     bits, prob, log2_prob, one = np.zeros((1, len(col)), dtype=np.uint8), 1.0, 0.0, {}
     for j, c in enumerate(p.commands):        # a Z command ignores its angle
@@ -419,14 +422,22 @@ class _ReferenceSource(OutcomeSource):
         return 0
 
 
+def _check_report(p: MeasurementPattern, row_bytes: int) -> None:
+    """Refuse a caller's report of ``row_bytes`` for each of 2^k branches."""
+    if row_bytes:
+        n = 2 ** len(p.commands)
+        check_memory(n * row_bytes, f"a report of {n} branches")
+
+
 def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend: str,
-             cap: int, src: Optional[OutcomeSource] = None):
+             cap: int, src: Optional[OutcomeSource] = None, row_bytes: int = 0):
     """(root level, step, output) for one backend.  ``step(level, command,
     thetas, src)`` returns, per followed (branch, outcome) in order, the
     branch's index in ``level``, the outcome and its probability, and then the
     children's level; ``output(level)`` gives each leaf's output state.  The
     walk's ``src`` is None in an enumeration, whose levels are checked for
-    memory; a run's level is one branch."""
+    memory; a run's level is one branch.  A report of ``row_bytes`` per
+    branch is checked after the backend's own need, before it allocates."""
     if backend == "statevector":
         plan, widths = _entangling_schedule(p)
         if max(widths) > cap:
@@ -434,6 +445,7 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
         # the level at command j holds at most 2^j branches of 2^widths[j] amplitudes
         bits = max(widths) if src is not None else max(j + w for j, w in enumerate(widths))
         check_memory(SV_TRANSIENT * 16 << bits, f"a {bits}-qubit statevector walk")
+        _check_report(p, row_bytes)
         if input_state is None:
             amps = StateVector.plus_state(len(p.input_sites)).amps[None]
         elif input_state.n != len(p.input_sites):
@@ -479,6 +491,7 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
             raise CapacityError("stabilizer backend does not take injected inputs")
         if not all(c.plane == "Z" or _is_quarter_turns(c.angle) for c in p.commands):
             raise CapacityError("stabilizer backend requires all angles to be multiples of pi/2")
+        _check_report(p, row_bytes)
 
         def stab_step(t, c, thetas, src):   # one tableau; +/-angle + pi*t: whole turns too
             k = 0 if c.plane == "Z" else round(thetas[0] / HALF_PI)    # k pi/2: X, Y, -X, -Y

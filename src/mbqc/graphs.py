@@ -11,16 +11,18 @@ this with the last axis fastest.  All lattices use open boundaries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, json_array, json_int, json_object
+from .errors import ValidationError, check_memory, json_array, json_int, json_object
 from .rng import make_rng
 
 _LATTICE_KINDS = ("chain", "star", "grid2d", "grid3d")
 _DIMS_LEN = {"chain": 1, "star": 1, "grid2d": 2, "grid3d": 3}
+SITE_BYTES = 40     # peak bytes per site of a percolation draw and _spans (36 at rate 0)
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,7 @@ class LatticeSpec:
 
     @property
     def n_vertices(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "dims": list(self.dims)}
@@ -203,9 +202,13 @@ def apply_site_defects(spec: LatticeSpec, defect_rate: float, seed: int
 def _spans(occupied: np.ndarray, spec: LatticeSpec, axis: str) -> bool:
     """Whether the occupied sites of a grid2d connect two opposite boundaries.
 
-    ``occupied`` is one flag per site in row-major order.  Union-find with
-    path halving over the occupied nearest-neighbor bonds, plus one virtual
-    node per boundary joined to that boundary's occupied sites.
+    ``occupied`` is one flag per site in row-major order.  Nodes are the
+    horizontal runs of occupied sites, labelled by a cumulative sum of run
+    starts, plus node 0 for the first row and ``end`` for the last; edges
+    join vertically bonded runs and each boundary to its runs.  Rounds hook
+    each root onto its least adjacent root, then jump pointers to the roots
+    (Shiloach & Vishkin, J. Algorithms 3, 1982), until no edge joins two
+    roots or ``end`` reaches node 0.
     """
     if spec.kind != "grid2d":
         raise ValidationError("spanning test is defined for grid2d lattices")
@@ -214,27 +217,23 @@ def _spans(occupied: np.ndarray, spec: LatticeSpec, axis: str) -> bool:
         occ = occ.T
     elif axis != "column":
         raise ValidationError(f"axis must be 'row' or 'column', got {axis!r}")
-    r, c = occ.shape
-    lo, hi = r * c, r * c + 1
-    idx = np.arange(r * c).reshape(r, c)
-    right = idx[:, :-1][occ[:, :-1] & occ[:, 1:]]
-    down = idx[:-1][occ[:-1] & occ[1:]]
-    first, last = idx[0][occ[0]], idx[-1][occ[-1]]
-    a = np.concatenate([np.full(first.size, lo), np.full(last.size, hi), right, down])
-    b = np.concatenate([first, last, right + 1, down + c])
-    parent = list(range(r * c + 2))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in zip(a.tolist(), b.tolist()):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    return find(lo) == find(hi)
+    start = occ.copy()
+    start[:, 1:] &= ~occ[:, :-1]
+    label = np.cumsum(start, axis=None).reshape(occ.shape)
+    end, bond = int(label[-1, -1]) + 1, occ[:-1] & occ[1:]
+    first, last = label[0][start[0]], label[-1][start[-1]]
+    lo = np.concatenate([np.zeros_like(first), label[:-1][bond], last])
+    hi = np.concatenate([first, label[1:][bond], np.full_like(last, end)])
+    del start, label, bond
+    root = np.arange(end + 1)
+    while lo.size and root[end]:
+        lo, hi = root[lo], root[hi]
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        np.minimum.at(root, np.maximum(lo, hi), np.minimum(lo, hi))
+        while not np.array_equal(jump := root[root], root):
+            root = jump
+    return not root[end]
 
 
 def has_spanning_cluster(graph: Graph, spec: LatticeSpec, mask: DefectMask | None = None,
@@ -255,11 +254,12 @@ def spanning_probability(spec: LatticeSpec, defect_rate: float, seeds: Sequence[
                          axis: str = "column") -> float:
     """Fraction of seeds whose defect draw still spans the lattice.
 
-    Each seed makes the draw ``apply_site_defects`` makes, and the decision
-    runs on the occupancy grid itself; no ``Graph`` is built per seed.
+    Each seed makes the draw ``apply_site_defects`` makes and decides on the
+    occupancy grid, building no ``Graph``; ``SITE_BYTES`` per site are checked first.
     """
     if len(seeds) < 1:
         raise ValidationError(f"need at least one seed, got {len(seeds)}")
+    check_memory(spec.n_vertices * SITE_BYTES, f"a {spec.n_vertices}-site percolation grid")
     hits = sum(_spans(~_defect_hits(spec.n_vertices, defect_rate, s), spec, axis)
                for s in seeds)
     return hits / len(seeds)

@@ -570,11 +570,34 @@ def test_exit_code_capacity(files, capsys):
          "h": {str(v): 0.0 for v in range(n)}, "beta": 1.0}))
     assert main(["partition", "--model", str(big), "--method", "brute"]) == 3
     capsys.readouterr()
-    # 10^18 sites: the first allocation already fails, so nothing is allocated
+    # 10^18 sites: refused by the memory check before the first draw
     assert main(["percolation", "--rate", "0.5", "--rows", "1000000000",
                  "--cols", "1000000000", "--n-seeds", "1"]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("capacity exceeded:")
+
+
+def test_percolation_checks_memory_before_the_draw(capsys, monkeypatch):
+    """A grid whose ``SITE_BYTES`` per site exceed physical memory exits 3
+    with one line before its first draw (a draw alone is 8 MB here); with
+    exactly that much memory it runs."""
+    from mbqc import errors
+    from mbqc.graphs import SITE_BYTES
+    need = SITE_BYTES * 1000 * 1000
+    argv = ["percolation", "--rate", "0.4", "--rows", "1000", "--cols", "1000", "--n-seeds", "1"]
+    monkeypatch.setattr(errors, "physical_memory", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"capacity exceeded: a 1000000-site percolation grid needs {need} bytes")
+    monkeypatch.setattr(errors, "physical_memory", lambda: need)
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("flag", ["--lattice", "--graph"])
@@ -626,8 +649,7 @@ def test_memory_is_checked_in_one_place_before_allocating(files, capsys, monkeyp
     30-site star, all live when its hub is measured, exits 3 with one line
     before allocating, and so does a 1000-qubit tableau.  With it patched to
     the report rows of the 12-site chain's 2^11 branches, that chain's
-    ``branches`` runs and the 13-site chain's exits 3 before its rows are
-    built."""
+    ``branches`` runs and the 13-site chain's exits 3 before its walk."""
     from mbqc import errors
     from mbqc.engine import SV_TRANSIENT
     monkeypatch.setattr(errors, "physical_memory", lambda: SV_TRANSIENT * 16 << 12)
@@ -669,9 +691,9 @@ def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
     physical memory patched one byte short of the 2^8-branch table of a
     9-site chain, or of one tableau of a 1000-site chain whose one command
     leaves 999 outputs, each exits 3 with one line and builds no tableau.
-    At exactly that much the 1000-site chain runs; the 9-site chain walks
-    and exits 3 with one line before building its report rows, and runs
-    with memory for those rows."""
+    At exactly that much the 1000-site chain runs; the 9-site chain exits 3
+    with one line for its 2^8 report rows, still before any tableau, and
+    runs with memory for those rows."""
     from mbqc import errors
     from mbqc.tableau import Tableau
     built = []
@@ -699,6 +721,7 @@ def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,
             assert len(err.splitlines()) == 1
             assert err.startswith(f"capacity exceeded: a report of {n_branches} branches "
                                   f"needs {rows} bytes")
+            assert built == []
         monkeypatch.setattr(errors, "physical_memory", lambda: max(need, rows))
         code, rep = run_cli(["branches", "--pattern", path, "--backend", "stab"], capsys)
         assert code == 0 and rep["result"]["n_branches"] == n_branches and built

@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbqc.errors import ValidationError
-from mbqc.graphs import (DefectMask, Graph, LatticeSpec, apply_site_defects,
-                         build_lattice, has_spanning_cluster, spanning_probability)
+from mbqc.graphs import (SITE_BYTES, DefectMask, Graph, LatticeSpec, _spans,
+                         apply_site_defects, build_lattice, has_spanning_cluster,
+                         spanning_probability)
 from mbqc.rng import make_rng
 
 SHAPES = [(1, 1), (1, 7), (7, 1), (4, 9), (9, 4), (6, 6)]
@@ -159,6 +161,56 @@ def _bfs_spans(graph, spec, mask, axis):
                 seen.add(w)
                 todo.append(w)
     return bool(seen & goal)
+
+
+def _flood_spans(occ, axis):
+    """Whether the occupied sites of ``occ`` (rows x cols) cross it, found by
+    growing the set reached from the start boundary one 4-neighbour step at a
+    time until it stops changing."""
+    grid = occ if axis == "column" else occ.T
+    reached = np.zeros_like(grid)
+    reached[0] = grid[0]
+    while True:
+        grown = reached.copy()
+        grown[1:] |= reached[:-1]
+        grown[:-1] |= reached[1:]
+        grown[:, 1:] |= reached[:, :-1]
+        grown[:, :-1] |= reached[:, 1:]
+        grown &= grid
+        if np.array_equal(grown, reached):
+            return bool(reached[-1].any())
+        reached = grown
+
+
+@given(st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+       st.sampled_from(["row", "column"]))
+@example(1, 1, 0.5, 3, "column")
+@example(1, 12, 0.2, 5, "column")
+@example(1, 12, 0.2, 5, "row")
+@example(12, 1, 0.2, 5, "column")
+@example(12, 1, 0.2, 5, "row")
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_spans_matches_a_flood_fill(rows, cols, rate, seed, axis):
+    """The run-labelling components agree with a plain flood fill on every
+    shape from 1x1 to 12x12, at rates 0, 1 and in between, on both axes."""
+    occ = np.random.default_rng(seed).random((rows, cols)) >= rate
+    spec = LatticeSpec("grid2d", [rows, cols])
+    assert _spans(occ.ravel(), spec, axis) == _flood_spans(occ, axis)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.6, 1.0])
+def test_spanning_probability_stays_within_its_memory_check(rate):
+    """``SITE_BYTES`` per site, what is checked before the draw, bounds the
+    traced peak of a draw and its spanning decision."""
+    spec = LatticeSpec("grid2d", [300, 300])
+    tracemalloc.start()
+    try:
+        spanning_probability(spec, rate, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SITE_BYTES * spec.n_vertices
 
 
 @pytest.mark.parametrize("shape", SHAPES)
