@@ -17,7 +17,7 @@ whole-row commutation test is ``anticommuting`` (one popcount per row),
 or ``anticommutation_gram`` for every pair of rows at once.
 A one-qubit question (which rows anticommute with X, Y or Z on qubit q)
 is ``anticommuting_at`` on ``qubit_columns``, one read of q's x and z
-word columns.
+word columns, each one contiguous run in a column-major tableau.
 """
 from __future__ import annotations
 

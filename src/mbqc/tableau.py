@@ -1,30 +1,30 @@
 """Stabilizer tableau backend: Clifford gates and Pauli-basis measurements.
 
 The tableau keeps ``n`` destabilizer rows (indices ``0..n-1``) and ``n``
-stabilizer rows (``n..2n-1``), each a bit-packed Pauli.  Row ``i`` of the
-destabilizers anticommutes with stabilizer row ``i`` only, and rows of one
-kind commute; all updates preserve this pairing, which is what makes
+stabilizer rows (``n..2n-1``), each a bit-packed Pauli, in column-major
+(``order="F"``) x and z arrays; whatever creates or copies them keeps that
+order.  Destabilizer row ``i`` anticommutes with stabilizer row ``i`` only,
+and rows of one kind commute; all updates keep this pairing, which makes
 measurement updates O(n*w) word operations.  Only stabilizer rows carry a
-sign: destabilizers serve through their x/z bits alone (which stabilizer
-rows a measurement or membership test involves), so no result reads their
-signs, and their sign bits stay 0.
+sign: destabilizers serve through their x/z bits alone, and their signs stay 0.
 
 Every Pauli question starts from one anticommutation column: which of the
-2n rows anticommute with the observable (read from the z bits for X, the
-x bits for Z).  If a stabilizer row does, a measurement gives a fair
-random (or forced) outcome and factors the qubit out: the state is then
-``|b> (x) |psi'>`` (Raussendorf, Browne & Briegel, quant-ph/0301052), so
-the pivot row becomes the one-qubit ``+/-B``, its destabilizer a one-qubit
-Pauli, and every other row is cleared on that qubit.  The pivot is
-multiplied into the other anticommuting rows by ``pauli._mul_rows`` over
-its word span only, with a phase computed for the stabilizer rows alone;
-as measured qubits leave no weight behind, destabilizer rows stay as
-sparse as the stabilizers.  Otherwise the observable is ``+/-`` a group
-member, and one membership routine answers both "what is the
-deterministic outcome?" and "is ``+/-P`` in the stabilizer group?": the
-destabilizers that anticommute with P select the stabilizer rows whose
-product must equal P, and the product's sign is the answer.  A
-deterministic outcome is read this way before any randomness is consumed.
+2n rows anticommute with the observable (read from the z bits for X, the x
+bits for Z), one contiguous run of 2n words per array.  If a stabilizer
+row does, a measurement gives a fair random (or forced) outcome and
+factors the qubit out: the state is then ``|b> (x) |psi'>`` (Raussendorf,
+Browne & Briegel, quant-ph/0301052), so the pivot row becomes the
+one-qubit ``+/-B``, its destabilizer a one-qubit Pauli, and every other
+row is cleared on that qubit.  The pivot is multiplied into the other
+anticommuting rows by ``pauli._mul_rows`` over its word span only, with a
+phase computed for the stabilizer rows alone; as measured qubits leave no
+weight behind, destabilizer rows stay as sparse as the stabilizers.
+Otherwise the observable is ``+/-`` a group member, and one membership
+routine answers both "what is the deterministic outcome?" and "is ``+/-P``
+in the stabilizer group?": the destabilizers that anticommute with P
+select the stabilizer rows whose product must equal P, and the product's
+sign is the answer.  A deterministic outcome is read this way before any
+randomness is consumed.
 
 Output extraction stays packed.  A measured qubit is left in a ``+/-B``
 eigenstate and usually keeps that one-qubit stabilizer row; all such rows
@@ -74,8 +74,8 @@ class Tableau:
         self.n = int(n)
         check_capacity(self.n)
         self.w = n_words(self.n)
-        self.xs = np.zeros((2 * self.n, self.w), dtype=np.uint64)
-        self.zs = np.zeros((2 * self.n, self.w), dtype=np.uint64)
+        self.xs = np.zeros((2 * self.n, self.w), dtype=np.uint64, order="F")
+        self.zs = np.zeros((2 * self.n, self.w), dtype=np.uint64, order="F")
         self.signs = np.zeros(2 * self.n, dtype=np.uint8)
 
     # -- construction -----------------------------------------------------
@@ -92,7 +92,7 @@ class Tableau:
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
         t.n, t.w = self.n, self.w
-        t.xs, t.zs, t.signs = self.xs.copy(), self.zs.copy(), self.signs.copy()
+        t.xs, t.zs, t.signs = self.xs.copy("F"), self.zs.copy("F"), self.signs.copy()
         return t
 
     # -- row access -------------------------------------------------------

@@ -6,7 +6,10 @@ measurement commands in the inputs.  A renamed target or an extra
 ``measure_pauli`` call would break that run without failing any other test.
 Likewise a parser stricter than the inputs ``perfbench/workloads.py`` writes
 would fail benchmark jobs, and a walk that projects per branch rather than
-per command would give back the ``branches`` job's time.
+per command would give back the ``branches`` job's time.  A tableau whose
+arrays are made or copied in row-major order gives the same results but
+reads each measured qubit's word column with a stride, which is the
+measurement time that the column-major layout saves.
 """
 import importlib
 import importlib.util
@@ -29,7 +32,7 @@ from mbqc.pauli import unpack_bits
 from mbqc.rng import OutcomeSource
 from mbqc.statmech import SpinModel
 from mbqc.surface import HoleSpec, SliceLayout
-from mbqc.tableau import Tableau
+from mbqc.tableau import Tableau, extract_subtableau, graph_state_tableau
 
 
 def _load_perfbench(name, monkeypatch):
@@ -233,6 +236,32 @@ def test_measurement_keeps_destabilizers_sparse(monkeypatch):
     monkeypatch.setattr(tableau, "_mul_rows", counting_mul_rows)
     run_pattern(wire, backend="stabilizer", randomness=1)
     assert 0 < seen["destabilizer_rows"] <= n
+
+
+def test_tableau_arrays_stay_column_major(rng):
+    """Every way a tableau is made or changed leaves ``xs`` and ``zs``
+    column-major, so a qubit's word column is one contiguous run.  The
+    tableaus are wider than one word, where the two orders differ."""
+    n = 150
+
+    def assert_column_major(t):
+        assert t.xs.flags.f_contiguous and t.zs.flags.f_contiguous
+
+    chain = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    assert_column_major(Tableau(n))
+    assert_column_major(Tableau.plus_state(n))
+    t = graph_state_tableau(chain)
+    assert_column_major(t)
+    for q in rng.permutation(n)[:70].tolist():
+        t.measure_pauli("XYZ"[q % 3], q, randomness=q)
+        assert_column_major(t)
+    for gate, targets in (("H", [3]), ("S", [80]), ("CZ", [70, 140]), ("CNOT", [149, 0])):
+        assert_column_major(t.apply_clifford(gate, targets))
+    assert_column_major(t.copy())
+    wire = graph_state_tableau(chain)
+    for q in range(n - 70):
+        wire.measure_pauli("Z", q, randomness=q)
+    assert_column_major(extract_subtableau(wire, range(n - 70, n)))
 
 
 def test_extraction_multiplies_rows_only_where_no_one_qubit_row(rng, monkeypatch):

@@ -417,6 +417,60 @@ def test_destabilizer_completion_matches_per_element_reference(nk, source):
     assert np.array_equal(gram, np.block([[0 * eye, eye], [eye, 0 * eye]]))
 
 
+@pytest.mark.parametrize("n", [65, 150])
+def test_results_do_not_depend_on_memory_order(n):
+    """A tableau is stored column-major, but numpy's semantics do not depend
+    on memory order: a twin whose arrays are row-major copies gives the same
+    outcomes, rows, text, membership answers and extracted tableau.  A kernel
+    that read a tableau's raw buffer (``view``, ``reshape``, ``tobytes``)
+    would break this."""
+    rng = np.random.default_rng(n)
+    t = graph_state_tableau(random_graph(n, rng, p=4 / n))
+    twin = t.copy()
+    twin.xs, twin.zs = np.ascontiguousarray(twin.xs), np.ascontiguousarray(twin.zs)
+    assert t.xs.flags.f_contiguous and not twin.xs.flags.f_contiguous
+
+    def measure(basis, q):
+        forced = int(rng.integers(2)) if t.outcome_is_random(basis, q) else None
+        return [u.measure_pauli(basis, q, forced=forced) for u in (t, twin)]
+
+    outcomes = []
+    for _ in range(3 * n):
+        gate = str(rng.choice(["H", "S", "X", "Y", "Z", "CZ", "CNOT", "M"]))
+        if gate == "M":
+            outcomes.append(measure(str(rng.choice(["X", "Y", "Z"])), int(rng.integers(n))))
+        else:
+            targets = rng.choice(n, size=1 + (gate in ("CZ", "CNOT")), replace=False).tolist()
+            t.apply_clifford(gate, targets)
+            twin.apply_clifford(gate, targets)
+    assert len(outcomes) > n // 4
+    for name in ("xs", "zs", "signs"):
+        assert np.array_equal(getattr(t, name), getattr(twin, name))
+    assert t.dump() == twin.dump()
+
+    rows = t.stabilizer_rows()
+    queries = [PauliString.from_bits(rng.integers(2, size=n), rng.integers(2, size=n))
+               for _ in range(20)]
+    for _ in range(20):
+        member = PauliString(n)
+        for i in rng.choice(n, size=5, replace=False):
+            member = member * rows[i]
+        queries.append(member)
+    answers = [t.stabilizer_group_contains(p) for p in queries]
+    assert answers == [twin.stabilizer_group_contains(p) for p in queries]
+    assert answers[20:] == [+1] * 20
+
+    keep = sorted(rng.choice(n, size=n - 40, replace=False).tolist())
+    for q in sorted(set(range(n)) - set(keep)):
+        outcomes.append(measure("Z", q))
+    assert all(a == b for a, b in outcomes)
+    sub, sub_twin = extract_subtableau(t, keep), extract_subtableau(twin, keep)
+    sub.check_invariants()
+    assert sub.dump() == sub_twin.dump()
+    for name in ("xs", "zs", "signs"):
+        assert np.array_equal(getattr(sub, name), getattr(sub_twin, name))
+
+
 def _mul_full_width(t, rows, px, pz, psign, sign_destabilizers):
     """Full-width product of (px, pz, psign) into ``rows``; destabilizer
     rows get no sign unless ``sign_destabilizers``."""
