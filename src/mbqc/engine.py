@@ -71,8 +71,9 @@ class MeasurementCommand:
     t_deps: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "s_deps", frozenset(int(s) for s in self.s_deps))
-        object.__setattr__(self, "t_deps", frozenset(int(t) for t in self.t_deps))
+        for name in ("s_deps", "t_deps"):    # kept if a frozenset, as the parser builds
+            if type(deps := getattr(self, name)) is not frozenset:
+                object.__setattr__(self, name, frozenset(int(d) for d in deps))
         if self.plane not in ("XY", "Z"):
             raise ValidationError(f"plane must be XY or Z, got {self.plane!r}")
         if not math.isfinite(self.angle):

@@ -8,16 +8,15 @@ Only real signs (+1/-1) are exposed; products that would leave a stray
 handled here.
 
 Bits are packed 64 per machine word, so row products and commutation
-checks are word-wise XOR/AND plus a popcount.  Every sign-tracked row
-product goes through one kernel, ``_mul_rows``, which touches only the
-pivot's word span, with its phase from ``phase_exponent_mod4`` (two
-popcounts); the GF(2) eliminator ``_eliminate`` (output extraction,
-``symplectic_rank``) and tableau measurement both call it; every
-whole-row commutation test is ``anticommuting`` (one popcount per row),
-or ``anticommutation_gram`` for every pair of rows at once.
-A one-qubit question (which rows anticommute with X, Y or Z on qubit q)
-is ``anticommuting_at`` on ``qubit_columns``, one read of q's x and z
-word columns, each one contiguous run in a column-major tableau.
+checks are word-wise XOR/AND plus a popcount.  Rows multiplied in place are
+stacked, ``xz[r, 0]`` row r's x words and ``xz[r, 1]`` its z words, and every
+sign-tracked product is one kernel, ``_mul_rows``: one gather, XOR and scatter
+of the pivot's word span, phase from ``phase_exponent_mod4``, called by
+measurement and by the GF(2) eliminator ``_eliminate``.  Every whole-row
+commutation test is ``anticommuting`` (one popcount per row), or
+``anticommutation_gram`` for every pair of rows at once.  A one-qubit question
+(which rows anticommute with X, Y or Z on qubit q) is ``anticommuting_at`` on
+``qubit_columns``: one contiguous read of q's x and z word columns.
 """
 from __future__ import annotations
 
@@ -76,11 +75,11 @@ def xor_column(words: np.ndarray, q: int, bits: np.ndarray) -> None:
     words[:, q >> 6] ^= bits << np.uint64(q & 63)
 
 
-def qubit_columns(xs: np.ndarray, zs: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bit ``q`` of every packed row of ``xs`` and of ``zs``, as bool: one
-    read of each word column, for ``anticommuting_at``."""
-    bit = np.uint64(1) << np.uint64(q & 63)
-    return (xs[:, q >> 6] & bit) != 0, (zs[:, q >> 6] & bit) != 0
+def qubit_columns(xz: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit ``q`` of the x and of the z words of every stacked row, as bool:
+    one read of q's word column, for ``anticommuting_at``."""
+    bits = (xz[:, :, q >> 6] & np.uint64(1 << (q & 63))) != 0
+    return bits[:, 0], bits[:, 1]
 
 
 def anticommuting_at(cx: np.ndarray, cz: np.ndarray, kind: str) -> np.ndarray:
@@ -90,19 +89,19 @@ def anticommuting_at(cx: np.ndarray, cz: np.ndarray, kind: str) -> np.ndarray:
     return (cz if kind == "X" else cx if kind == "Z" else cx ^ cz).nonzero()[0]
 
 
-def clear_column(words: np.ndarray, rows: np.ndarray, q: int) -> None:
-    """Clear bit ``q`` of the packed ``rows`` (distinct indices) in place."""
-    col = words[:, q >> 6]
+def clear_qubit(xz: np.ndarray, rows: np.ndarray, q: int) -> None:
+    """Clear bit ``q`` of the x and z words of stacked ``rows`` (distinct)."""
+    col = xz[:, :, q >> 6]
     col[rows] &= ~np.uint64(1 << (q & 63))
 
 
-def set_single(xs: np.ndarray, zs: np.ndarray, row: int, q: int, kind: str) -> None:
-    """Overwrite packed row ``row`` with the one-qubit Pauli ``kind`` on ``q``."""
-    xs[row] = zs[row] = 0
+def set_single(xz: np.ndarray, row: int, q: int, kind: str) -> None:
+    """Overwrite stacked row ``row`` with the one-qubit Pauli ``kind`` on ``q``."""
+    xz[row] = 0
     if kind != "Z":
-        xs[row, q >> 6] = 1 << (q & 63)
+        xz[row, 0, q >> 6] = 1 << (q & 63)
     if kind != "X":
-        zs[row, q >> 6] = 1 << (q & 63)
+        xz[row, 1, q >> 6] = 1 << (q & 63)
 
 
 def lone_qubits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,39 +147,44 @@ def phase_exponent_mod4(x1: np.ndarray, z1: np.ndarray,
     numpy does) give one exponent per row, and single rows a 0-d integer array.
     """
     t = x1 & z2
-    a = (z1 & x2) ^ t
-    minus = a & (x1 ^ z1 ^ x2 ^ z2 ^ t)
+    a = z1 & x2
+    a ^= t                  # in place, here and below: row stacks can be large
+    minus = x1 ^ z1 ^ x2
+    minus ^= z2
+    minus ^= t
+    minus &= a
     cnt = np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
     cnt += 2 * np.bitwise_count(minus).sum(axis=-1, dtype=np.int64)
     return cnt % 4
 
 
-def _mul_rows(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
-              rows: np.ndarray, px: np.ndarray, pz: np.ndarray, psign: int) -> None:
-    """Left-multiply the packed Pauli (px, pz, psign) into ``rows`` in place.
+def _mul_rows(xz: np.ndarray, signs: np.ndarray | None, rows: np.ndarray,
+              p: np.ndarray, psign: int) -> None:
+    """Left-multiply stacked Pauli ``p``, sign bit ``psign``, into ``xz[rows]``.
 
-    Only the word span from the first to the last nonzero word of
-    ``px | pz`` changes, so only that span is gathered.  ``signs`` (None for
-    none) holds the sign bits of the last ``len(signs)`` rows; only those
-    rows get a phase, so unsigned rows (a tableau's destabilizers, whose
-    signs nothing reads) cost just the XOR.  An imaginary signed product
-    raises.  ``rows`` is ascending and omits the row ``px``/``pz`` view.
+    Only the word span from the first to the last nonzero word of ``p``
+    changes, so only that span is gathered, XORed and scattered, x and z
+    together.  ``signs`` (None for none) holds the sign bits of the last
+    ``len(signs)`` rows; only those rows get a phase, so unsigned rows (a
+    tableau's destabilizers, whose signs nothing reads) cost just the XOR.
+    An imaginary signed product raises before any row changes.  ``rows`` is
+    ascending and omits the row ``p`` views.
     """
     if rows.size == 0:
         return
-    nz = np.flatnonzero(px | pz)
+    nz = (p[0] | p[1]).nonzero()[0]
     span = slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
-    px, pz = px[span], pz[span]
-    x2, z2 = xs[rows, span], zs[rows, span]
+    p, sub = p[:, span], xz[:, :, span]
+    words = sub[rows]
     if signs is not None:
-        off = len(xs) - len(signs)
-        k = int(np.searchsorted(rows, off))
-        e = phase_exponent_mod4(px, pz, x2[k:], z2[k:])
-        if np.any(e & 1):
+        off = len(xz) - len(signs)
+        k = int(rows.searchsorted(off))
+        e = phase_exponent_mod4(p[0], p[1], words[k:, 0], words[k:, 1])
+        if np.bitwise_or.reduce(e) & 1:                 # some exponent is odd
             raise VerificationError("product has imaginary sign")
-        signs[rows[k:] - off] ^= (e >> 1).astype(np.uint8) ^ np.uint8(psign)
-    xs[rows, span] = x2 ^ px
-    zs[rows, span] = z2 ^ pz
+        signs[rows[k:] - off] ^= ((e >> 1) ^ psign).astype(np.uint8)
+    words ^= p                                          # in place: no second row stack
+    sub[rows] = words
 
 
 class PauliString:
@@ -239,9 +243,7 @@ class PauliString:
             raise ValidationError(f"qubit {qubit} out of range")
         if kind not in ("X", "Y", "Z"):
             raise ValidationError(f"kind must be X, Y or Z, got {kind!r}")
-        p = cls(n, sign=sign)
-        set_single(p.x[None], p.z[None], 0, qubit, kind)
-        return p
+        return cls.from_support(n, [qubit] * (kind != "Z"), [qubit] * (kind != "X"), sign)
 
     def qubit(self, k: int) -> str:
         xb = (int(self.x[k >> 6]) >> (k & 63)) & 1
@@ -287,31 +289,28 @@ class PauliString:
         return f"PauliString({self.to_text()!r})"
 
 
-def _eliminate(xs: np.ndarray, zs: np.ndarray, signs: np.ndarray | None,
-               qubits: Iterable[int]) -> np.ndarray:
+def _eliminate(xz: np.ndarray, signs: np.ndarray | None, qubits: Iterable[int]) -> np.ndarray:
     """Gaussian elimination of the x, then the z, column of each of ``qubits``.
 
-    Works in place on packed rows ``xs``/``zs`` and their sign bits
-    ``signs`` (None to ignore signs).  For each column, the first row not
-    yet a pivot that has the bit becomes the pivot and is left-multiplied
-    into every other non-pivot row with the bit, all at once.  Returns the
-    mask of pivot rows; the other rows end up free of ``qubits``.
+    Works in place on stacked rows ``xz`` and their sign bits ``signs``
+    (None to ignore signs).  For each column, the first row not yet a pivot
+    that has the bit becomes the pivot and is left-multiplied into every
+    other non-pivot row with the bit, all at once.  Returns the mask of
+    pivot rows; the other rows end up free of ``qubits``.
     """
-    used = np.zeros(len(xs), dtype=bool)
+    used = np.zeros(len(xz), dtype=bool)
     for q in qubits:
-        for words in (xs, zs):
-            rows = np.flatnonzero((column(words, q) != 0) & ~used)
+        for half in (0, 1):
+            rows = np.flatnonzero((column(xz[:, half], q) != 0) & ~used)
             if rows.size == 0:
                 continue
             p, rows = rows[0], rows[1:]
             used[p] = True
-            _mul_rows(xs, zs, signs, rows, xs[p], zs[p],
-                      0 if signs is None else int(signs[p]))
+            _mul_rows(xz, signs, rows, xz[p], 0 if signs is None else int(signs[p]))
     return used
 
 
 def symplectic_rank(paulis: Sequence[PauliString]) -> int:
     """Rank over GF(2) of the (x|z) rows, ignoring signs."""
-    xs = np.array([p.x for p in paulis])
-    zs = np.array([p.z for p in paulis])
-    return int(_eliminate(xs, zs, None, range(paulis[0].n if paulis else 0)).sum())
+    xz = np.array([(p.x, p.z) for p in paulis], dtype=np.uint64)
+    return int(_eliminate(xz, None, range(paulis[0].n if paulis else 0)).sum())

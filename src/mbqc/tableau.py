@@ -1,24 +1,27 @@
 """Stabilizer tableau backend: Clifford gates and Pauli-basis measurements.
 
 The tableau keeps ``n`` destabilizer rows (indices ``0..n-1``) and ``n``
-stabilizer rows (``n..2n-1``), each a bit-packed Pauli, in column-major
-(``order="F"``) x and z arrays; whatever creates or copies them keeps that
-order.  Destabilizer row ``i`` anticommutes with stabilizer row ``i`` only,
-and rows of one kind commute; all updates keep this pairing, which makes
-measurement updates O(n*w) word operations.  Only stabilizer rows carry a
-sign: destabilizers serve through their x/z bits alone, and their signs stay 0.
+stabilizer rows (``n..2n-1``), each a bit-packed Pauli, in one column-major
+(``order="F"``) array ``xz`` of shape (2n, 2, w), x words in ``xz[:, 0]``
+and z words in ``xz[:, 1]``; ``xs``/``zs`` are views of those halves, never
+copies, and whatever creates or copies a tableau keeps both.  Destabilizer
+row ``i`` anticommutes with stabilizer row ``i`` only, and rows of one kind
+commute; all updates keep this pairing, which makes measurement updates
+O(n*w) word operations.  Only stabilizer rows carry a sign: destabilizers
+serve through their x/z bits alone, and their signs stay 0.
 
 Every Pauli question starts from one anticommutation column: which of the
 2n rows anticommute with the observable (read from the z bits for X, the x
-bits for Z), one contiguous run of 2n words per array.  If a stabilizer
+bits for Z), one contiguous run of 4n words for both.  If a stabilizer
 row does, a measurement gives a fair random (or forced) outcome and
 factors the qubit out: the state is then ``|b> (x) |psi'>`` (Raussendorf,
 Browne & Briegel, quant-ph/0301052), so the pivot row becomes the
 one-qubit ``+/-B``, its destabilizer a one-qubit Pauli, and every other
 row is cleared on that qubit.  The pivot is multiplied into the other
-anticommuting rows by ``pauli._mul_rows`` over its word span only, with a
-phase computed for the stabilizer rows alone; as measured qubits leave no
-weight behind, destabilizer rows stay as sparse as the stabilizers.
+anticommuting rows by ``pauli._mul_rows`` over its word span only (x and
+z in one gather and one scatter), with a phase computed for the stabilizer
+rows alone; as measured qubits leave no weight behind, destabilizer rows
+stay as sparse as the stabilizers.
 Otherwise the observable is ``+/-`` a group member, and one membership
 routine answers both "what is the deterministic outcome?" and "is ``+/-P``
 in the stabilizer group?": the destabilizers that anticommute with P
@@ -45,16 +48,16 @@ import numpy as np
 from .errors import CapacityError, ValidationError, VerificationError, check_memory
 from .graphs import Graph
 from .pauli import (PauliString, _eliminate, _mul_rows, anticommutation_gram, anticommuting,
-                    anticommuting_at, clear_column, column, flip_bits, lone_qubits, n_words,
+                    anticommuting_at, clear_qubit, column, flip_bits, lone_qubits, n_words,
                     pack_bits, phase_exponent_mod4, qubit_columns, set_single, unpack_bits,
                     xor_column)
 from .rng import OutcomeSource, as_outcome_source
 
 
 def _invariant_checks_on() -> bool:
-    """Whether the ``MBQC_CHECK_INVARIANTS`` environment variable (any value
-    but empty or ``0``) asks for ``check_invariants`` after every gate and
-    measurement.  That costs O(n^2) per operation, so it is off by default."""
+    """Whether ``MBQC_CHECK_INVARIANTS`` (any value but empty or ``0``) asks for
+    ``check_invariants`` after every gate and measurement, O(n^2) each, so off
+    by default.  A tableau reads it once, when constructed; its copies keep that."""
     return os.environ.get("MBQC_CHECK_INVARIANTS", "0") not in ("", "0")
 
 
@@ -65,18 +68,19 @@ def check_capacity(n: int) -> None:
 
 
 class Tableau:
-    """Mutable stabilizer + destabilizer tableau for ``n`` qubits.  ``signs``
-    has 2n entries; the destabilizer half stays 0, as no result reads it."""
+    """Mutable stabilizer + destabilizer tableau for ``n`` qubits.  ``signs`` has 2n
+    entries, the destabilizer half 0; ``checks``: check invariants after each update."""
 
-    __slots__ = ("n", "w", "xs", "zs", "signs")
+    __slots__ = ("n", "w", "xz", "xs", "zs", "signs", "checks")
 
     def __init__(self, n: int):
         self.n = int(n)
         check_capacity(self.n)
         self.w = n_words(self.n)
-        self.xs = np.zeros((2 * self.n, self.w), dtype=np.uint64, order="F")
-        self.zs = np.zeros((2 * self.n, self.w), dtype=np.uint64, order="F")
+        self.xz = np.zeros((2 * self.n, 2, self.w), dtype=np.uint64, order="F")
+        self.xs, self.zs = self.xz[:, 0], self.xz[:, 1]         # views, never copies
         self.signs = np.zeros(2 * self.n, dtype=np.uint8)
+        self.checks = _invariant_checks_on()
 
     # -- construction -----------------------------------------------------
 
@@ -91,8 +95,9 @@ class Tableau:
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
-        t.n, t.w = self.n, self.w
-        t.xs, t.zs, t.signs = self.xs.copy("F"), self.zs.copy("F"), self.signs.copy()
+        t.n, t.w, t.signs, t.checks = self.n, self.w, self.signs.copy(), self.checks
+        t.xz = self.xz.copy("F")
+        t.xs, t.zs = t.xz[:, 0], t.xz[:, 1]
         return t
 
     # -- row access -------------------------------------------------------
@@ -151,7 +156,7 @@ class Tableau:
         elif gate == "CZ":
             xor_column(self.zs, a, xb)
             xor_column(self.zs, b, xa)
-        if _invariant_checks_on():
+        if self.checks:
             self.check_invariants()
         return self
 
@@ -165,7 +170,7 @@ class Tableau:
             raise ValidationError(f"basis must be X, Y or Z, got {basis!r}")
         if not (0 <= qubit < self.n):
             raise ValidationError(f"qubit {qubit} out of range")
-        return qubit_columns(self.xs[first:], self.zs[first:], qubit)
+        return qubit_columns(self.xz[first:], qubit)
 
     def measure_pauli(self, basis: str, qubit: int,
                       randomness: Union[int, OutcomeSource, None] = None,
@@ -188,8 +193,8 @@ class Tableau:
         qubit are cleared and, if it is a stabilizer row, its sign flips
         when m = 1.  The signed group is the one the textbook update gives;
         only its generators differ, so every later outcome is the same.
-        The qubit's x and z word columns are read once; both anticommutation
-        columns, for B and for P, come from that read.
+        The qubit's x and z word columns are read once, as one contiguous
+        run; both anticommutation columns, for B and for P, come from that read.
         """
         cx, cz = self._columns(basis, qubit)
         anti = anticommuting_at(cx, cz, basis)
@@ -206,19 +211,16 @@ class Tableau:
         m = src.choose(qubit, 0.5)
         held = anticommuting_at(cx, cz, "IXZY"[cx[p] + 2 * cz[p]])
         if anti.size > 1 + (anti[0] == p - n):       # rows besides p and its destabilizer
-            _mul_rows(self.xs, self.zs, self.signs[n:], anti[(anti != p) & (anti != p - n)],
-                      self.xs[p], self.zs[p], int(self.signs[p]))
+            _mul_rows(self.xz, self.signs[n:], anti[(anti != p) & (anti != p - n)],
+                      self.xz[p], int(self.signs[p]))
         if held.size:                                # row p - n is overwritten below
-            if basis != "Z":
-                clear_column(self.xs, held, qubit)
-            if basis != "X":
-                clear_column(self.zs, held, qubit)
+            clear_qubit(self.xz, held, qubit)        # each holds B on the qubit
             if m:
                 self.signs[held[held.searchsorted(n):]] ^= np.uint8(1)
-        set_single(self.xs, self.zs, p - n, qubit, "Z" if basis == "X" else "X")
-        set_single(self.xs, self.zs, p, qubit, basis)
+        set_single(self.xz, p - n, qubit, "Z" if basis == "X" else "X")
+        set_single(self.xz, p, qubit, basis)
         self.signs[p] = m
-        if _invariant_checks_on():
+        if self.checks:
             self.check_invariants()
         return m
 
@@ -237,15 +239,14 @@ class Tableau:
         if sel.size == 0:
             return np.zeros(self.w, dtype=np.uint64), np.zeros(self.w, dtype=np.uint64), 0
         idx = self.n + sel
-        xs, zs, ph = self.xs[idx], self.zs[idx], 2 * self.signs[idx].astype(np.int64)
-        while len(xs) > 1:
-            k = (len(xs) + 1) // 2
-            m = len(xs) - k
-            ph[:m] += ph[k:] + phase_exponent_mod4(xs[:m], zs[:m], xs[k:], zs[k:])
-            xs[:m] ^= xs[k:]
-            zs[:m] ^= zs[k:]
-            xs, zs, ph = xs[:k], zs[:k], ph[:k]
-        return xs[0], zs[0], int(ph[0]) % 4
+        xz, ph = self.xz[idx], 2 * self.signs[idx].astype(np.int64)
+        while len(xz) > 1:
+            k = (len(xz) + 1) // 2
+            m = len(xz) - k
+            ph[:m] += ph[k:] + phase_exponent_mod4(xz[:m, 0], xz[:m, 1], xz[k:, 0], xz[k:, 1])
+            xz[:m] ^= xz[k:]
+            xz, ph = xz[:k], ph[:k]
+        return xz[0, 0], xz[0, 1], int(ph[0]) % 4
 
     def _member_sign_bit(self, anti: np.ndarray, p: PauliString) -> Optional[int]:
         """Bit s with ``(-1)^s`` times p's unsigned operator in the group, or None.
@@ -369,23 +370,22 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
     dropped = np.ones(t.n, dtype=bool)
     dropped[keep] = False
 
-    xs, zs, signs = t.xs[t.n:], t.zs[t.n:], t.signs[t.n:]
-    piv = _one_qubit_pivots(xs, zs, dropped)
+    xz, signs = t.xz[t.n:], t.signs[t.n:]
+    piv = _one_qubit_pivots(xz[:, 0], xz[:, 1], dropped)
     neg = piv[signs[piv] != 0]
-    px, pz = np.bitwise_or.reduce(xs[piv]), np.bitwise_or.reduce(zs[piv])
-    on_q, q_neg = px | pz, np.bitwise_or.reduce(xs[neg] | zs[neg])
+    pxz = np.bitwise_or.reduce(xz[piv])                 # the pivots' x and z words
+    on_q, q_neg = pxz[0] | pxz[1], np.bitwise_or.reduce(xz[neg], axis=(0, 1))
     rest = np.ones(t.n, dtype=bool)
     rest[piv] = False
-    xs, zs, signs = xs[rest], zs[rest], signs[rest]
-    touch = (xs | zs) & on_q
-    if np.any(((xs & on_q) ^ (touch & px)) | ((zs & on_q) ^ (touch & pz))):
+    xz, signs = xz[rest], signs[rest]
+    touch = (xz[:, 0] | xz[:, 1]) & on_q
+    if np.any((xz & on_q) ^ (touch[:, None] & pxz)):
         raise VerificationError("a stabilizer row holds another Pauli on a measured qubit")
     signs ^= (np.bitwise_count(touch & q_neg).sum(axis=1) & 1).astype(np.uint8)
-    xs &= ~on_q
-    zs &= ~on_q
-    kept = ~_eliminate(xs, zs, signs, np.flatnonzero(dropped & (unpack_bits(on_q, t.n) == 0)))
-    xs, zs, signs = xs[kept], zs[kept], signs[kept]
-    if np.any((xs | zs) & pack_bits(dropped)):
+    xz &= ~on_q
+    kept = ~_eliminate(xz, signs, np.flatnonzero(dropped & (unpack_bits(on_q, t.n) == 0)))
+    xz, signs = xz[kept], signs[kept]
+    if np.any(xz & pack_bits(dropped)):
         raise VerificationError("state is not a product across the requested cut")
     nk = len(keep)
     if len(signs) != nk:
@@ -393,23 +393,22 @@ def extract_subtableau(t: Tableau, keep: Sequence[int]) -> Tableau:
             f"expected {nk} generators on the kept qubits, found {len(signs)}")
 
     out = Tableau(nk)
-    out.xs[nk:] = pack_bits(unpack_bits(xs, t.n)[:, keep])
-    out.zs[nk:] = pack_bits(unpack_bits(zs, t.n)[:, keep])
+    out.xz[nk:] = pack_bits(unpack_bits(xz, t.n)[..., keep])
     out.signs[nk:] = signs
-    out.xs[:nk], out.zs[:nk] = _complete_destabilizers(out.xs[nk:], out.zs[nk:])
+    out.xz[:nk] = _complete_destabilizers(out.xz[nk:])
     return out
 
 
-def _complete_destabilizers(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed, sign-free rows (x, z) of d_i that anticommute with s_i only.
+def _complete_destabilizers(s: np.ndarray) -> np.ndarray:
+    """Packed, sign-free stacked rows d_i that anticommute with row s_i of ``s`` only.
 
     Gauss-Jordan on [M | I] with M = [s.z | s.x], one whole-row XOR per pivot,
     solves M d_i = e_i; then each s_i is XORed into the later d_j that
     anticommute with d_i, which changes no other commutation (s_i commutes
     with every d_j, j != i).
     """
-    n = len(xs)
-    aug = np.stack([zs, xs, pack_bits(np.eye(n, dtype=np.uint8))], axis=1)
+    n = len(s)
+    aug = np.concatenate([s[:, ::-1], pack_bits(np.eye(n, dtype=np.uint8))[:, None]], axis=1)
     pivots = []
     for c in range(2 * n):
         r = len(pivots)
@@ -427,8 +426,8 @@ def _complete_destabilizers(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray,
 
     d = np.zeros((n, 2 * n), dtype=np.uint8)
     d[:, pivots] = unpack_bits(aug[:, 2], n).T      # row i solves M d = e_i
-    d, s = pack_bits(d.reshape(n, 2, n)), np.stack([xs, zs], axis=1)    # [:, 0] x, [:, 1] z
+    d = pack_bits(d.reshape(n, 2, n))
     for i in range(n - 1):
         later = d[i + 1:]
         later[anticommuting(later[:, 0], later[:, 1], d[i, 0], d[i, 1])] ^= s[i]
-    return d[:, 0], d[:, 1]
+    return d

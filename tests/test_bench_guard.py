@@ -229,9 +229,9 @@ def test_measurement_keeps_destabilizers_sparse(monkeypatch):
     seen = {"destabilizer_rows": 0}
     mul_rows = tableau._mul_rows
 
-    def counting_mul_rows(xs, zs, signs, rows, *args):
-        seen["destabilizer_rows"] += int(np.count_nonzero(rows < len(xs) - len(signs)))
-        return mul_rows(xs, zs, signs, rows, *args)
+    def counting_mul_rows(xz, signs, rows, *args):
+        seen["destabilizer_rows"] += int(np.count_nonzero(rows < len(xz) - len(signs)))
+        return mul_rows(xz, signs, rows, *args)
 
     monkeypatch.setattr(tableau, "_mul_rows", counting_mul_rows)
     run_pattern(wire, backend="stabilizer", randomness=1)
@@ -239,13 +239,16 @@ def test_measurement_keeps_destabilizers_sparse(monkeypatch):
 
 
 def test_tableau_arrays_stay_column_major(rng):
-    """Every way a tableau is made or changed leaves ``xs`` and ``zs``
-    column-major, so a qubit's word column is one contiguous run.  The
+    """Every way a tableau is made or changed leaves its stacked ``xz``
+    column-major, so a qubit's x and z word columns are one contiguous run,
+    with ``xs`` and ``zs`` views of it whose rows are adjacent words.  The
     tableaus are wider than one word, where the two orders differ."""
     n = 150
 
     def assert_column_major(t):
-        assert t.xs.flags.f_contiguous and t.zs.flags.f_contiguous
+        assert t.xz.flags.f_contiguous
+        for half in (t.xs, t.zs):
+            assert half.strides[0] == 8 and np.shares_memory(half, t.xz)
 
     chain = Graph(n, [(v, v + 1) for v in range(n - 1)])
     assert_column_major(Tableau(n))

@@ -232,8 +232,9 @@ def test_mul_rows_matches_full_width_reference(n, lo, hi, with_signs):
     before = signs.copy()
     want = xs.copy(), zs.copy(), signs.copy()
     mul_rows_full_width(*want, rows, px, pz, 1)
-    _mul_rows(xs, zs, None if with_signs is False else signs[first:], rows, px, pz, 1)
-    assert np.array_equal(xs, want[0]) and np.array_equal(zs, want[1])
+    xz = np.stack([xs, zs], axis=1)
+    _mul_rows(xz, None if with_signs is False else signs[first:], rows, np.stack([px, pz]), 1)
+    assert np.array_equal(xz[:, 0], want[0]) and np.array_equal(xz[:, 1], want[1])
     assert np.array_equal(signs[:first], before[:first])
     assert np.array_equal(signs[first:], want[2][first:])
 
@@ -243,4 +244,4 @@ def test_mul_rows_rejects_an_imaginary_product():
                                                   commuting=False)
     assert rows.size
     with pytest.raises(VerificationError, match="imaginary"):
-        _mul_rows(xs, zs, signs, rows, px, pz, 0)
+        _mul_rows(np.stack([xs, zs], axis=1), signs, rows, np.stack([px, pz]), 0)

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -417,18 +418,46 @@ def test_destabilizer_completion_matches_per_element_reference(nk, source):
     assert np.array_equal(gram, np.block([[0 * eye, eye], [eye, 0 * eye]]))
 
 
+def test_x_and_z_rows_are_views_of_the_stacked_array():
+    """``xs`` and ``zs`` are the halves of ``xz``, not copies, however the
+    tableau was made: a bit written through either is read back from
+    ``xz``, and the other half is untouched.  Every tableau is wider than
+    one word."""
+    n = 150
+    chain = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    measured = graph_state_tableau(chain)
+    for q in range(0, n - 40, 3):
+        measured.measure_pauli("XYZ"[q % 3], q, randomness=q)
+    wire = graph_state_tableau(chain)
+    for q in range(n - 70):
+        wire.measure_pauli("Z", q, randomness=q)
+    tableaus = {"Tableau": Tableau(n), "plus_state": Tableau.plus_state(n),
+                "graph_state_tableau": graph_state_tableau(chain), "measure_pauli": measured,
+                "copy": measured.copy(), "copy.copy": copy.copy(measured),
+                "extract_subtableau": extract_subtableau(wire, range(n - 70, n))}
+    for name, t in tableaus.items():
+        for half, words in ((0, t.xs), (1, t.zs)):
+            row, word = len(words) - 1, t.w - 1
+            before = t.xz.copy()
+            words[row, word] ^= np.uint64(1 << 63)
+            after = before.copy()
+            after[row, half, word] ^= np.uint64(1 << 63)
+            assert np.array_equal(t.xz, after), (name, half)
+
+
 @pytest.mark.parametrize("n", [65, 150])
 def test_results_do_not_depend_on_memory_order(n):
     """A tableau is stored column-major, but numpy's semantics do not depend
-    on memory order: a twin whose arrays are row-major copies gives the same
-    outcomes, rows, text, membership answers and extracted tableau.  A kernel
-    that read a tableau's raw buffer (``view``, ``reshape``, ``tobytes``)
-    would break this."""
+    on memory order: a twin whose stacked array is a row-major copy gives the
+    same outcomes, rows, text, membership answers and extracted tableau.  A
+    kernel that read a tableau's raw buffer (``view``, ``reshape``,
+    ``tobytes``) would break this."""
     rng = np.random.default_rng(n)
     t = graph_state_tableau(random_graph(n, rng, p=4 / n))
     twin = t.copy()
-    twin.xs, twin.zs = np.ascontiguousarray(twin.xs), np.ascontiguousarray(twin.zs)
-    assert t.xs.flags.f_contiguous and not twin.xs.flags.f_contiguous
+    twin.xz = np.ascontiguousarray(twin.xz)
+    twin.xs, twin.zs = twin.xz[:, 0], twin.xz[:, 1]
+    assert t.xz.flags.f_contiguous and not twin.xz.flags.f_contiguous
 
     def measure(basis, q):
         forced = int(rng.integers(2)) if t.outcome_is_random(basis, q) else None
@@ -444,7 +473,7 @@ def test_results_do_not_depend_on_memory_order(n):
             t.apply_clifford(gate, targets)
             twin.apply_clifford(gate, targets)
     assert len(outcomes) > n // 4
-    for name in ("xs", "zs", "signs"):
+    for name in ("xz", "xs", "zs", "signs"):
         assert np.array_equal(getattr(t, name), getattr(twin, name))
     assert t.dump() == twin.dump()
 
