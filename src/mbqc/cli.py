@@ -10,9 +10,9 @@ writes it deterministically (same argv give byte-identical files); stdout
 prints the same line with ``wall_time_ms`` as its last key.  ``--seed``
 (run-pattern, slice, percolation) seeds the outcome and defect draws.
 ``--cap`` (run-pattern, branches, partition) overrides the statevector
-qubit cap, defaulting to the ``MBQC_CAP`` environment variable when set; for
-a pattern walk it counts the peak live sites, those prepared and not yet
-measured, and for ``partition`` the decorated resource.
+qubit cap, defaulting to the ``MBQC_CAP`` environment variable when set; it
+counts a statevector walk's peak live qubits, those prepared and not yet
+measured (for ``partition``, not yet contracted).
 
 Each subcommand imports the layers it uses in its own body, so start-up
 loads only ``graphs`` (percolation needs nothing else).
@@ -272,8 +272,8 @@ def _build_parser() -> _CliParser:
                        help="write a deterministic JSON report here")
         if cap:
             p.add_argument("--cap", type=int, default=None,
-                           help="statevector qubit cap: a pattern walk's peak live sites, "
-                                "partition's decorated resource (default: MBQC_CAP or 22)")
+                           help="statevector qubit cap: a walk's peak live qubits "
+                                "(default: MBQC_CAP or 22)")
         if backend:
             p.add_argument("--backend", choices=("sv", "stab"), default="sv")
 

@@ -52,7 +52,7 @@ from .errors import (CapacityError, ValidationError, check_memory, json_array, j
 from .graphs import Graph
 from .rng import PROB_TOL, OutcomeSource, as_outcome_source
 from .statevector import (DEFAULT_CAP, StateRows, StateVector, _probability0, _project,
-                          append_plus, apply_cz, apply_pauli, fidelity_up_to_phase)
+                          apply_cz, apply_pauli, fidelity_up_to_phase)
 from .tableau import Tableau, extract_subtableau, graph_state_tableau, tableau_to_statevector
 
 HALF_PI = math.pi / 2.0
@@ -239,14 +239,14 @@ def _require_valid(p: MeasurementPattern) -> None:
         raise ValidationError("invalid pattern: " + "; ".join(issues))
 
 
-def _entangling_schedule(p: MeasurementPattern) -> tuple[list, list[int]]:
+def _entangling_schedule(p: MeasurementPattern, cap: int = DEFAULT_CAP) -> tuple[list, list[int]]:
     """A statevector walk's lazy preparation: per command, then once for the
     leaves, the sites that join the live qubits in |+> (appended in that
     order) and the edges then entangled, with the live width there.  The
     inputs are live from the start.  A site joins just before it or a
     neighbour is measured, and an edge is entangled just before its first
     end is measured (between two outputs, at the leaves), so each edge is
-    entangled once, and the leaves hold only the outputs."""
+    entangled once, and the leaves hold only the outputs.  A peak over ``cap`` raises."""
     adj, measured = p.resource.adjacency(), set()
     live = set(p.input_sites)
     plan, widths = [], []
@@ -262,7 +262,22 @@ def _entangling_schedule(p: MeasurementPattern) -> tuple[list, list[int]]:
     plan.append((joins, [(a, b) for a, b in p.resource.edges
                          if a not in measured and b not in measured]))
     widths.append(len(live) + len(joins))
+    if max(widths) > cap:
+        raise CapacityError(f"a walk of {max(widths)} live sites exceeds cap {cap}")
     return plan, widths
+
+
+def _prepare(level: tuple, joins=(), edges=()) -> tuple:
+    """One step of ``_entangling_schedule``'s plan on a level ``(amps, live)``: the
+    sites ``joins`` appended in |+> (least significant, 2^(-1/2) each), then a CZ per edge."""
+    amps, live = level
+    if joins:
+        amps, live = np.repeat(amps, 1 << len(joins), axis=-1), live + joins
+        amps *= 2.0 ** (-len(joins) / 2)
+    rows = StateRows(len(live), amps)
+    for a, b in edges:
+        apply_cz(rows, live.index(a), live.index(b))
+    return rows.amps, live
 
 
 def _is_quarter_turns(theta: float) -> bool:
@@ -440,9 +455,7 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
     memory; a run's level is one branch.  A report of ``row_bytes`` per
     branch is checked after the backend's own need, before it allocates."""
     if backend == "statevector":
-        plan, widths = _entangling_schedule(p)
-        if max(widths) > cap:
-            raise CapacityError(f"a walk of {max(widths)} live sites exceeds cap {cap}")
+        plan, widths = _entangling_schedule(p, cap)
         # the level at command j holds at most 2^j branches of 2^widths[j] amplitudes
         bits = max(widths) if src is not None else max(j + w for j, w in enumerate(widths))
         check_memory(SV_TRANSIENT * 16 << bits, f"a {bits}-qubit statevector walk")
@@ -456,17 +469,8 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
         sites = [c.site for c in p.commands]        # what joins before and after a command
         before, after = dict(zip(sites, plan)), dict(zip(sites[-1:], plan[-1:]))
 
-        def prepare(level, joins=(), edges=()):     # widen by the joining sites, then entangle
-            amps, live = level
-            if joins:
-                amps, live = append_plus(amps, len(joins)), live + joins
-            rows = StateRows(len(live), amps)
-            for a, b in edges:
-                apply_cz(rows, live.index(a), live.index(b))
-            return rows.amps, live
-
         def sv_step(level, c, thetas, src):
-            amps, live = prepare(level, *before.get(c.site, ()))  # a site per qubit
+            amps, live = _prepare(level, *before.get(c.site, ()))  # a site per qubit
             pos = live.index(c.site)
             p0 = _probability0(amps, pos, c.plane, thetas)
             pm = np.stack([p0, 1.0 - p0], axis=1)       # branch x outcome
@@ -476,7 +480,7 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
                 parent, outcome = np.arange(len(p0)), [src.choose(c.site, x) for x in p0.tolist()]
             post, norm = _project(amps, pos, c.plane, thetas, parent, outcome)
             post /= np.sqrt(norm)[:, None]
-            level = prepare((post, live[:pos] + live[pos + 1:]), *after.get(c.site, ()))
+            level = _prepare((post, live[:pos] + live[pos + 1:]), *after.get(c.site, ()))
             return parent, outcome, pm[parent, outcome], level
 
         def sv_output(level):
@@ -486,7 +490,7 @@ def _backend(p: MeasurementPattern, input_state: Optional[StateVector], backend:
             return [StateVector(len(live), a) for a in out.reshape(len(amps), -1)]
 
         root = amps, list(p.input_sites)        # one row; the inputs, in input order
-        return (root if sites else prepare(root, *plan[-1])), sv_step, sv_output
+        return (root if sites else _prepare(root, *plan[-1])), sv_step, sv_output
     if backend == "stabilizer":
         if input_state is not None:
             raise CapacityError("stabilizer backend does not take injected inputs")

@@ -13,9 +13,9 @@ sizes.  Conventions, fixed once for the whole package:
   ``compact``; the engine's step projects it out directly (``_project``,
   which works on a stack of states, one per row, as does ``_probability0``).
 
-Default capacity is 22 qubits held at once (for a pattern walk, its peak
-live sites); operations beyond a cap fail fast with CapacityError instead
-of thrashing memory.
+Default capacity is 22 qubits held at once (for a walk, a pattern's or the
+partition overlap's, its peak live qubits); operations beyond a cap fail
+fast with CapacityError instead of thrashing memory.
 """
 from __future__ import annotations
 
@@ -88,15 +88,6 @@ class StateRows:
         self.n, self.amps = int(n), np.ascontiguousarray(amps)
 
 
-def append_plus(amps: np.ndarray, k: int) -> np.ndarray:
-    """A new array of ``amps`` (one state, or rows of states along the last
-    axis) with k qubits in |+> appended as the least significant: each
-    amplitude repeated 2^k times, times 2^(-k/2)."""
-    wide = np.repeat(amps, 1 << k, axis=-1)
-    wide *= 2.0 ** (-k / 2)
-    return wide
-
-
 def graph_state_vector(graph: Graph, cap: int = DEFAULT_CAP) -> StateVector:
     """|G> = prod_edges CZ |+>^n; amplitudes are exactly +/- 2^{-n/2}."""
     n = graph.n_vertices
@@ -156,6 +147,13 @@ def _halves(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     with ``qubit`` reading 0 and 1."""
     shaped = amps.reshape(len(amps), 1 << qubit, 2, -1)
     return shaped[:, :, 0], shaped[:, :, 1]
+
+
+def _contract(amps: np.ndarray, qubit: int, c0: complex, c1: complex) -> np.ndarray:
+    """Rows of states (``rows x 2^n``) with ``qubit`` contracted against the
+    unconjugated pair (c0, c1): ``c0 a0 + c1 a1``, ``rows x 2^(n-1)``."""
+    a0, a1 = _halves(amps, qubit)
+    return (c0 * a0 + c1 * a1).reshape(len(amps), -1)
 
 
 def _probability0(amps: np.ndarray, qubit: int, plane: str, theta) -> np.ndarray:
@@ -254,12 +252,10 @@ def overlap(state: StateVector, product: ProductState) -> complex:
     """
     if product.n != state.n:
         raise ValidationError("qubit counts differ")
-    acc = state.amps
-    for k in range(state.n - 1, -1, -1):
-        c0, c1 = product.coeffs[k]
-        half = acc.reshape(-1, 2)
-        acc = c0 * half[:, 0] + c1 * half[:, 1]
-    return complex(acc[0])
+    acc = state.amps[None]
+    for c0, c1 in product.coeffs:           # qubit k is the leading one once 0..k-1 are gone
+        acc = _contract(acc, 0, c0, c1)
+    return complex(acc[0, 0])
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:

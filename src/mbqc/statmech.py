@@ -22,8 +22,9 @@ Both come in a ``log_`` form, which stays finite where Z overflows.
 Summing the edge qubit of an edge (a,b) against the graph-state phases
 reproduces the Boltzmann weight ``e^{beta J s_a s_b}``, and the vertex
 coefficients supply ``e^{beta h s_a}``; the prefactor absorbs the
-graph-state normalization.  Coefficients are rescaled per qubit with a
-log-tracked prefactor, so models deep in the ordered regime stay finite.
+graph-state normalization.  The overlap is a one-branch walk of the decorated
+graph; it and the coefficients are rescaled with log-tracked factors, so
+models deep in the ordered regime stay finite.
 """
 from __future__ import annotations
 
@@ -34,10 +35,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (CapacityError, ValidationError, VerificationError, json_index, json_number,
-                     json_object)
+from .engine import (SV_TRANSIENT, MeasurementCommand, MeasurementPattern, _entangling_schedule,
+                     _prepare)
+from .errors import (CapacityError, ValidationError, VerificationError, check_memory, json_index,
+                     json_number, json_object)
 from .graphs import Graph
-from .statevector import DEFAULT_CAP, ProductState, StateVector, append_plus, apply_cz, overlap
+from .statevector import DEFAULT_CAP, ProductState, _contract
 
 BRUTE_CAP = 24
 _BLOCK = 1 << 16
@@ -198,34 +201,41 @@ def decorate(model: SpinModel) -> DecoratedResource:
                              (n + m) / 2.0, log_scale)
 
 
-def log_partition_function_overlap(model: SpinModel, cap: int = DEFAULT_CAP) -> float:
-    """log Z via the overlap identity, one edge qubit at a time.
+def _contraction_order(graph: Graph) -> list[int]:
+    """The decorated qubits in canonical edge order: the isolated spins, then
+    each edge qubit n+k followed by the spins whose last edge it is, so a spin
+    is live from its first edge to its last."""
+    n = graph.n_vertices
+    last = {v: k for k, edge in enumerate(graph.edges) for v in edge}    # later edges overwrite
+    order = [v for v in range(n) if v not in last]
+    for k, (a, b) in enumerate(graph.edges):
+        order += [n + k] + [v for v in (a, b) if last[v] == k]
+    return order
 
-    Each edge, in canonical order, appends a |+> qubit to the spins, applies
-    its two CZs and is contracted at once, so at most n+1 qubits are live;
-    ``cap`` still bounds the whole decorated resource, n+m qubits.
-    """
-    res = decorate(model)
-    n = model.graph.n_vertices
-    nq = res.decorated_graph.n_vertices
-    if nq > cap:
-        raise CapacityError(f"decorated resource needs {nq} qubits, cap {cap}")
-    state = StateVector.plus_state(n)
-    for k, (a, b) in enumerate(model.graph.edges):
-        wide = StateVector(n + 1, append_plus(state.amps, 1))
-        apply_cz(wide, a, n)
-        apply_cz(wide, n, b)
-        c0, c1 = res.local_states.coeffs[n + k]
-        halves = wide.amps.reshape(-1, 2)
-        state = StateVector(n, c0 * halves[:, 0] + c1 * halves[:, 1])
-    raw = overlap(state, ProductState(res.local_states.coeffs[:n]))
-    mag = abs(raw)
-    if mag > 0 and abs(raw.imag) > 1e-9 * mag:
-        raise VerificationError(f"overlap has imaginary part {raw.imag:.3e}")
-    if raw.real < 0:
-        raise VerificationError("overlap is negative; decoration is inconsistent")
-    return (res.normalization_log2 * math.log(2.0) + res.coeff_log_scale
-            + math.log(max(mag, 5e-324)))
+
+def log_partition_function_overlap(model: SpinModel, cap: int = DEFAULT_CAP) -> float:
+    """log Z via the overlap identity: the decorated qubits contracted in
+    ``_contraction_order``, each joining in |+> just before it or a neighbour
+    is contracted.  The peak live width W is checked against ``cap``, and 2^W
+    amplitudes against physical memory, before anything is allocated."""
+    res, order = decorate(model), _contraction_order(model.graph)
+    plan, widths = _entangling_schedule(MeasurementPattern(
+        res.decorated_graph, [], [], [MeasurementCommand(q, "Z") for q in order]), cap)
+    width = max(widths)
+    check_memory(SV_TRANSIENT * 16 << width, f"a {width}-qubit statevector walk")
+    level, log_scale = (np.ones((1, 1), dtype=np.complex128), []), 0.0
+    for q, step in zip(order, plan):
+        amps, live = _prepare(level, *step)
+        pos = live.index(q)
+        amps = _contract(amps, pos, *res.local_states.coeffs[q])
+        peak = float(np.abs(amps).max())
+        if peak > 0:
+            amps, log_scale = amps / peak, log_scale + math.log(peak)
+        level = amps, live[:pos] + live[pos + 1:]
+    raw = complex(level[0][0, 0])       # of modulus 1 after rescaling, unless it vanished
+    if abs(raw - 1) > 1e-9:
+        raise VerificationError(f"overlap rescaled to {raw:.3e}, not 1: cancelled or inconsistent")
+    return res.normalization_log2 * math.log(2.0) + res.coeff_log_scale + log_scale
 
 
 def partition_function_overlap(model: SpinModel, cap: int = DEFAULT_CAP) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, schema_validator
-from mbqc import engine, pauli, tableau
+from mbqc import engine, pauli, statmech, tableau
 from mbqc.compiler import Circuit
 from mbqc.engine import (MeasurementCommand, MeasurementPattern, enumerate_branches, run_pattern,
                          validate_pattern)
@@ -367,3 +367,36 @@ def test_statevector_walk_entangles_each_edge_once_within_live_width(rng, monkey
             assert calls["cz"] == p.resource.n_edges
             assert calls["widest"] <= 1 << width
     assert narrower
+
+
+def test_overlap_entangles_each_edge_twice_within_live_width(rng, monkeypatch):
+    """The traced benchmark counts 2m ``apply_cz`` calls for a ``partition``
+    job of m interactions (``statevector.apply_cz.calls``): the overlap walk
+    applies each edge qubit's two CZs once, through ``engine.apply_cz``.  No
+    array it contracts is wider than 2^W amplitudes for the walk's peak live
+    width W, which on these models is below the decorated qubit count."""
+    workloads = _load_perfbench("workloads", monkeypatch)
+    calls = Counter()
+    cz, contract = engine.apply_cz, statmech._contract
+
+    def counting_cz(state, a, b):
+        calls["cz"] += 1
+        return cz(state, a, b)
+
+    def width_checking_contract(amps, *args):
+        calls["widest"] = max(calls["widest"], amps.shape[1])
+        return contract(amps, *args)
+
+    monkeypatch.setattr(engine, "apply_cz", counting_cz)
+    monkeypatch.setattr(statmech, "_contract", width_checking_contract)
+    for n, m in ((8, 12), (9, 12), (3, 2), (12, 30), (6, 0)):
+        model = SpinModel.from_json_dict(workloads.spin_model(rng, n, m))
+        order = statmech._contraction_order(model.graph)
+        width = max(engine._entangling_schedule(MeasurementPattern(
+            statmech.decorate(model).decorated_graph, [], [],
+            [MeasurementCommand(q, "Z") for q in order]))[1])
+        assert width < n + m
+        calls.clear()
+        statmech.log_partition_function_overlap(model, cap=width)
+        assert calls["cz"] == 2 * m
+        assert calls["widest"] <= 1 << width

@@ -15,7 +15,7 @@ from conftest import schema_validator
 from mbqc.cli import main
 from mbqc.engine import (MeasurementCommand, MeasurementPattern, _entangling_schedule,
                          enumerate_branches)
-from mbqc.graphs import Graph
+from mbqc.graphs import Graph, LatticeSpec, build_lattice
 
 pytest.importorskip("jsonschema")
 
@@ -682,6 +682,34 @@ def test_memory_is_checked_in_one_place_before_allocating(files, capsys, monkeyp
             assert len(err.splitlines()) == 1
             assert err.startswith(f"capacity exceeded: a report of 4096 branches needs "
                                   f"{_rows_need(1 << 12, 12)} bytes")
+
+
+def test_partition_checks_memory_before_the_walk(files, capsys, monkeypatch):
+    """The overlap walk of a 3x14 grid holds 16 qubits at its widest: with
+    physical memory patched one byte short of ``SV_TRANSIENT`` times 16 * 2^16
+    bytes, ``partition`` exits 3 with one line before allocating; with
+    exactly that much it runs."""
+    from mbqc import errors
+    from mbqc.engine import SV_TRANSIENT
+    from mbqc.statmech import SpinModel
+    path = files["tmp"] / "grid.model.json"
+    path.write_text(SpinModel.uniform(build_lattice(LatticeSpec("grid2d", [3, 14])),
+                                      0.5, 0.25, 1.0).to_json())
+    need = SV_TRANSIENT * 16 << 16
+    monkeypatch.setattr(errors, "physical_memory", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        code = main(["partition", "--model", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"capacity exceeded: a 16-qubit statevector walk needs {need} bytes")
+    monkeypatch.setattr(errors, "physical_memory", lambda: need)
+    code, rep = run_cli(["partition", "--model", str(path)], capsys)
+    assert code == 0 and rep["result"]["n_spins"] == 42
 
 
 def test_stabilizer_enumeration_checks_memory_before_any_tableau(files, capsys,

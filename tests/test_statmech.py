@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mbqc.errors import CapacityError, ValidationError
@@ -174,9 +175,10 @@ def test_log_domain_survives_huge_couplings():
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (7, 0), (3, 3), (6, 9), (8, 14),
-                                 (11, 11), (12, 10), (9, 13)])
+                                 (11, 11), (12, 10), (9, 13), (14, 20), (20, 30), (21, 27)])
 def test_edge_by_edge_overlap_matches_brute_force(n, m, rng):
-    # random simple graphs with n + m up to the default cap of 22
+    # random simple graphs; the last three hold more than the default cap of
+    # 22 decorated qubits, but fewer live at once
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     for _ in range(3):
         picks = rng.choice(len(pairs), size=m, replace=False) if m else []
@@ -198,10 +200,70 @@ def test_brute_force_cap():
 
 
 def test_overlap_cap():
-    g = build_lattice(LatticeSpec("grid2d", [4, 4]))    # 16 + 24 qubits
+    """The cap counts the walk's peak live qubits, not the decorated resource:
+    a 4x4 grid (16 + 24 qubits) is 6 wide in canonical edge order, and the
+    row-major 4x50 grid, whose spins stay live a row at a time, is 52 wide."""
+    g = build_lattice(LatticeSpec("grid2d", [4, 4]))
     m = SpinModel.uniform(g, 1.0, 0.0, 0.5)
-    with pytest.raises(CapacityError):
-        partition_function_overlap(m, cap=22)
+    with pytest.raises(CapacityError, match="a walk of 6 live sites exceeds cap 5"):
+        partition_function_overlap(m, cap=5)
+    want = log_partition_function_bruteforce(m)
+    assert abs(log_partition_function_overlap(m, cap=6) - want) < 1e-9 * want
+    wide = SpinModel.uniform(build_lattice(LatticeSpec("grid2d", [4, 50])), 1.0, 0.0, 0.5)
+    with pytest.raises(CapacityError, match="a walk of 52 live sites exceeds cap 22"):
+        partition_function_overlap(wide)
+
+
+@pytest.mark.parametrize("n", [20, 200, 2000])
+@pytest.mark.parametrize("bj", [0.3, -1.7])
+def test_ring_matches_closed_form(n, bj):
+    """At h = 0 a ring has Z = (2 cosh bJ)^n + (2 sinh bJ)^n, an oracle at
+    any n; its walk holds 4 qubits at most."""
+    g = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    want = n * math.log(2 * math.cosh(bj)) + math.log1p(math.tanh(bj) ** n)
+    got = log_partition_function_overlap(SpinModel.uniform(g, bj, 0.0, 1.0), cap=4)
+    assert abs(got - want) < 1e-9 * abs(want)
+
+
+def _log_z_transfer_matrix(model, rows, cols):
+    """log Z of a model on a row-major ``grid2d``, a row of spins at a time:
+    the weight vector over one row's 2^cols configurations takes the
+    vertical bonds to the next row one column at a time, then that row's
+    fields and horizontal bonds; rescaled per row in the log domain."""
+    beta, J, h = model.beta, model.couplings, model.fields
+    spins = 1 - 2 * ((np.arange(1 << cols)[:, None] >> (cols - 1 - np.arange(cols))) & 1)
+
+    def row_weight(r):
+        w = sum(beta * h[r * cols + c] * spins[:, c] for c in range(cols))
+        return w + sum(beta * J[(r * cols + c, r * cols + c + 1)] * spins[:, c] * spins[:, c + 1]
+                       for c in range(cols - 1))
+
+    log_z, v = 0.0, np.exp(row_weight(0))
+    for r in range(1, rows):
+        for c in range(cols):
+            bj = beta * J[((r - 1) * cols + c, r * cols + c)]
+            t = np.exp(bj * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+            v = np.einsum("ab,lbr->lar", t, v.reshape(1 << c, 2, -1)).reshape(-1)
+        v = v * np.exp(row_weight(r))
+        log_z, v = log_z + math.log(v.max()), v / v.max()
+    return log_z + math.log(v.sum())
+
+
+def test_12x12_grid_runs_at_the_default_cap(rng):
+    """A 12x12 grid (144 spins, 408 decorated qubits) is 14 qubits wide and
+    agrees with a row transfer matrix, which agrees with brute force on 3x4."""
+    small = build_lattice(LatticeSpec("grid2d", [3, 4]))
+    small = SpinModel.build(small, {e: float(rng.uniform(-1, 1)) for e in small.edges},
+                            {v: float(rng.uniform(-1, 1)) for v in range(12)}, 0.6)
+    want = log_partition_function_bruteforce(small)
+    assert abs(_log_z_transfer_matrix(small, 3, 4) - want) < 1e-12 * abs(want)
+    g = build_lattice(LatticeSpec("grid2d", [12, 12]))
+    m = SpinModel.build(g, {e: float(rng.uniform(-1, 1)) for e in g.edges},
+                        {v: float(rng.uniform(-1, 1)) for v in range(144)}, 0.6)
+    want = _log_z_transfer_matrix(m, 12, 12)
+    assert abs(log_partition_function_overlap(m) - want) < 1e-9 * abs(want)
+    with pytest.raises(CapacityError, match="a walk of 14 live sites exceeds cap 13"):
+        log_partition_function_overlap(m, cap=13)
 
 
 def test_json_round_trip():
